@@ -19,8 +19,8 @@ Two entry modes:
   loop, a full-scale stacked-AMP poison case, the AMP required-m
   scan (prefix replay + galloping/stacked bisection) against the
   naive per-m probe loop, the sweep engine's flattened cross-cell
-  queue against per-cell-barrier execution (with the per-worker
-  spec-interning dispatch payloads), the AMP kernel seam (NumPy
+  queue against per-cell-barrier execution (with the per-chunk
+  pipe dispatch payload), the AMP kernel seam (NumPy
   reference vs the fused Numba backend when importable, float32
   opt-in alongside), and the shared-memory arena dispatch payload
   against the pipe-pickled protocols — and appends
@@ -686,12 +686,9 @@ def _case_sweep_pipeline(smoke, workers):
     serialize, so the barrier-removal win shows on multi-core hosts
     only — recorded here for trajectory, not as a headline.
 
-    Also measures the per-chunk dispatch payload satellite: the
-    interned-spec protocol ships each cell's invariant payload (the
-    pickled channel/config spec) at most once per worker, so
-    steady-state chunk dispatch carries only seeds + indices; the
-    ``intern_specs=False`` baseline re-ships the spec with every
-    chunk. Payload sizes are recorded per chunk for both modes.
+    Also records the per-chunk pipe dispatch payload: every
+    submission pickles the cell's spec (channel/config) plus the
+    chunk's seeds.
     """
     import pickle
 
@@ -722,16 +719,14 @@ def _case_sweep_pipeline(smoke, workers):
             out.append(plan.run(backend="process", workers=workers)[0].values)
         return out
 
-    def flattened(intern):
+    def flattened():
         plan = SweepPlan()
         for n, k, channel in cell_params():
             plan.add_required_queries(
                 n, k, channel, trials=trials, seed=2022,
                 check_every=check_every,
             )
-        executor = SweepExecutor(
-            backend="process", workers=workers, intern_specs=intern
-        )
+        executor = SweepExecutor(backend="process", workers=workers)
         return [sample.values for sample in executor.run(plan)]
 
     # Warm the pool outside the timed region (spawn start-up is a
@@ -743,12 +738,10 @@ def _case_sweep_pipeline(smoke, workers):
         workers=workers,
     )
     baseline_s, barrier_vals = _timed(per_cell_barrier)
-    wall_s, flat_vals = _timed(lambda: flattened(True))
-    no_intern_s, no_intern_vals = _timed(lambda: flattened(False))
+    wall_s, flat_vals = _timed(flattened)
     shutdown_pool()
-    assert flat_vals == barrier_vals == no_intern_vals  # bit-identical
-    # Dispatch payload sizes: the interned protocol's steady-state
-    # chunk (seeds + indices only) vs a chunk that re-ships the spec.
+    assert flat_vals == barrier_vals  # bit-identical
+    # Dispatch payload size: the pickled spec plus the chunk's seeds.
     # The seed slice is the engine's actual first chunk (chunk_bounds
     # at workers * oversubscribe chunks per cell), not an estimate.
     from repro.core.chunking import chunk_bounds
@@ -777,12 +770,11 @@ def _case_sweep_pipeline(smoke, workers):
         "sequentially on the same pool)",
         "baseline_s": round(baseline_s, 4),
         "speedup": round(baseline_s / wall_s, 3) if wall_s else None,
-        "no_intern_wall_s": round(no_intern_s, 4),
         "dispatch_spec_blob_bytes": len(spec_blob),
-        "dispatch_chunk_payload_bytes": len(chunk_seeds),
+        "dispatch_chunk_payload_bytes": len(spec_blob) + len(chunk_seeds),
         "note": "1-core container: worker processes serialize, so the "
-        "barrier-removal and intern wins show on multi-core hosts "
-        "only; payload bytes are hardware-independent",
+        "barrier-removal win shows on multi-core hosts only; payload "
+        "bytes are hardware-independent",
     }
 
 
@@ -932,16 +924,15 @@ def _case_amp_matvec_fused(smoke):
 
 
 def _case_shm_dispatch_bytes(smoke, workers):
-    """Shared-memory arena dispatch vs the pipe-pickled protocols.
+    """Shared-memory arena dispatch vs pipe dispatch.
 
     Reruns the fig-3-shaped multi-cell sweep of ``sweep_pipeline`` on
     the process backend with ``shm=True`` (values asserted identical
     to the serial run) and records the per-chunk submission payload
-    under the three dispatch protocols: spec-per-chunk (pre-
-    interning), interned steady state (seeds + indices through the
-    pipe), and the shm arena (arena name plus two ``(offset, length)``
-    refs — near-constant bytes regardless of spec size or chunk
-    width). **1-core-container caveat** as in ``sweep_pipeline``: the
+    under both encodings: pipe dispatch (spec + seeds pickled through
+    the pipe) and the shm arena (arena name plus two ``(offset,
+    length)`` refs — near-constant bytes regardless of spec size or
+    chunk width). **1-core-container caveat** as in ``sweep_pipeline``: the
     worker processes serialize, so the shm wall time is trajectory
     only; the payload bytes are hardware-independent.
     """
@@ -1017,11 +1008,10 @@ def _case_shm_dispatch_bytes(smoke, workers):
         "trials": trials,
         "workers": workers,
         "wall_s": round(shm_s, 4),
-        "baseline": "interned pipe dispatch (process backend, shm off)",
+        "baseline": "pipe dispatch (process backend, shm off)",
         "baseline_s": round(pipe_s, 4),
         "speedup": round(pipe_s / shm_s, 3) if shm_s else None,
-        "chunk_bytes_spec_per_chunk": len(spec_blob) + len(seeds_blob),
-        "chunk_bytes_interned": len(seeds_blob),
+        "chunk_bytes_pipe": len(spec_blob) + len(seeds_blob),
         "chunk_bytes_shm": len(shm_submission),
         "arena_total_bytes": arena_bytes,
         "note": "1-core container: worker processes serialize, so the "

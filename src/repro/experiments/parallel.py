@@ -30,10 +30,8 @@ As of PR 5 the scheduling itself lives in
 global queue of ``(cell, chunk)`` work items executed out of order on
 a pluggable backend (``serial`` / ``process`` / ``socket``). This
 module keeps the pieces the engine builds on — the cached process
-pool, the worker-side chunk functions, and the PR 2 scheduler entry
-points (:func:`required_queries_outcomes` /
-:func:`success_curve_outcomes`), which are now thin one-cell sweep
-plans on the ``process`` backend.
+pool and the worker-side chunk functions; a sharded run of one cell
+is a one-cell :class:`~repro.experiments.scheduler.SweepPlan`.
 
 Workers are plain module-level functions and every payload (channel,
 seeds, kwargs) is picklable, so the pool runs under the ``spawn`` start
@@ -66,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.utils import config
-from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative_int
 
 #: environment variable consulted when ``workers`` is not given
@@ -520,123 +517,9 @@ def _sample_design_graph(spec: Dict[str, object], m: int, gen):
     raise ValueError(f"unknown design {design!r}")
 
 
-# -- sharded schedulers (PR 2 API, now thin one-cell sweep plans) -------
-
-
-def required_queries_outcomes(
-    n: int,
-    k: int,
-    channel,
-    *,
-    trials: int,
-    seed: RngLike,
-    workers: int,
-    max_m: Optional[int] = None,
-    check_every: int = 1,
-    gamma: Optional[int] = None,
-    centering: str = "half_k",
-    algorithm: str = "greedy",
-    verify: str = "full",
-    engine: str = "batch",
-    kernel: Optional[str] = None,
-    shm: Optional[bool] = None,
-    checkpoint=None,
-) -> List[Tuple[bool, Optional[int]]]:
-    """Sharded required-queries trials; outcomes in trial order.
-
-    A one-cell :class:`~repro.experiments.scheduler.SweepPlan` run on
-    the ``process`` backend: the engine spawns the serial path's
-    per-trial child seeds, shards them into contiguous chunks through
-    the shared work queue, and concatenates the chunk outcomes —
-    bit-identical to the serial trial loop for both stopping rules
-    (``algorithm="greedy"`` / ``"amp"``). ``checkpoint`` names a
-    directory for crash-safe resume (``None``: the
-    ``REPRO_CHECKPOINT`` env var) — completed chunks are skipped on a
-    re-run with the same arguments.
-    """
-    from repro.experiments.scheduler import SweepExecutor, SweepPlan
-
-    plan = SweepPlan()
-    plan.add_required_queries(
-        n,
-        k,
-        channel,
-        trials=trials,
-        seed=seed,
-        max_m=max_m,
-        check_every=check_every,
-        gamma=gamma,
-        centering=centering,
-        algorithm=algorithm,
-        verify=verify,
-        engine=engine,
-        kernel=kernel,
-    )
-    executor = SweepExecutor(
-        backend="process", workers=workers, shm=shm, checkpoint=checkpoint
-    )
-    return executor.run_outcomes(plan)[0]
-
-
-def success_curve_outcomes(
-    n: int,
-    k: int,
-    channel,
-    m_values: Sequence[int],
-    *,
-    trials: int,
-    seed: RngLike,
-    workers: int,
-    algorithm: str = "greedy",
-    algorithm_kwargs: Optional[dict] = None,
-    gamma: Optional[int] = None,
-    batch_mode: Optional[str] = None,
-    shm: Optional[bool] = None,
-    checkpoint=None,
-) -> List[List[Tuple[bool, float]]]:
-    """Sharded fixed-``m`` trials for a whole m-grid.
-
-    Returns one ``(exact, overlap)`` list per ``m`` value, each in
-    trial order — a one-cell sweep plan on the ``process`` backend.
-    Seed derivation mirrors the serial curve exactly: one child
-    generator per grid point, then per-trial seeds spawned from it —
-    so every trial sees the same seed it would serially. All
-    ``(m, chunk)`` tasks share one submission wave of the engine's
-    global queue, which keeps the workers busy across grid points
-    instead of draining per point.
-
-    ``batch_mode`` selects the stacked chunk implementation
-    (``"greedy"`` / ``"amp"``; the scheduler trusts the caller that it
-    matches ``algorithm`` — :func:`repro.experiments.runner._batch_mode`
-    is the one place that decides). The default ``None`` runs the
-    legacy per-trial loop, which honors any ``algorithm``.
-    """
-    from repro.experiments.scheduler import SweepExecutor, SweepPlan
-
-    plan = SweepPlan()
-    plan.add_success_curve(
-        n,
-        k,
-        channel,
-        m_values,
-        algorithm=algorithm,
-        trials=trials,
-        seed=seed,
-        gamma=gamma,
-        algorithm_kwargs=algorithm_kwargs,
-        batch_mode=batch_mode,
-    )
-    executor = SweepExecutor(
-        backend="process", workers=workers, shm=shm, checkpoint=checkpoint
-    )
-    return executor.run_outcomes(plan)[0]
-
-
 __all__ = [
     "WORKERS_ENV",
     "START_METHOD",
     "resolve_workers",
     "shutdown_pool",
-    "required_queries_outcomes",
-    "success_curve_outcomes",
 ]

@@ -81,25 +81,22 @@ and restored outcomes are the chunks' own recorded values. Works on
 every backend (the filtering happens before dispatch); a plan whose
 content hash changed is rejected instead of silently resumed.
 
-Per-worker payload interning
-----------------------------
-A chunk's payload splits into a per-cell **invariant** part (the
-channel object, algorithm kwargs, budgets — identical for every chunk
-of the cell) and a per-chunk **variant** part (the seed slice and grid
-indices). Re-shipping the invariant with every chunk is pure dispatch
-overhead, so both remote backends intern it once per worker, keyed by
-a unique cell id: the process backend seeds the first chunks of each
-cell with the pickled spec and retries on a worker-side cache miss;
-the socket backend tracks per-connection which specs it has sent.
-Steady-state chunk dispatch therefore ships only seeds + indices
-(measured in the ``sweep_pipeline`` benchmark case).
+Chunk payloads
+--------------
+A chunk's payload is its cell's **invariant** spec (the channel
+object, algorithm kwargs, budgets — identical for every chunk of the
+cell) plus the per-chunk seed slice and grid index. The process
+backend pickles both through the pool pipe with every submission; the
+socket backend interns the spec once per connection, keyed by a
+unique cell id, so its steady-state frames carry only seeds + indices.
 
-The ``shm`` option (``REPRO_SHM``) moves even that residue out of the
-pipe for the process backend: specs *and* per-task seed tuples are
-written once into a sweep-scoped shared-memory arena
-(:mod:`repro.experiments.shm`) and each submission ships only the
-arena name plus two ``(offset, length)`` refs — near-constant bytes
-per chunk, measured in the ``shm_dispatch_bytes`` benchmark case.
+The ``shm`` option (``REPRO_SHM``) is a second payload encoding for
+the process backend, run by the same dispatch loop: specs *and*
+per-task seed tuples are written once into a sweep-scoped
+shared-memory arena (:mod:`repro.experiments.shm`) and each
+submission ships only the arena name plus two ``(offset, length)``
+refs — near-constant bytes per chunk, measured in the
+``shm_dispatch_bytes`` benchmark case.
 
 When the engine helps
 ---------------------
@@ -118,7 +115,7 @@ import pickle
 import queue as queue_module
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -171,15 +168,6 @@ _SPECULATE_MIN_SECONDS = 2.0
 #: burn the sweep in an accept/die loop)
 _MAX_WORKER_FAILURES = 3
 
-#: worker-side interned-spec cache size (entries, not bytes). Sized
-#: above the largest realistic plan (a full-scale two-algorithm
-#: figure 4 sweep is 2 x 5 x 13 = 130 cells) so live cells are not
-#: evicted mid-plan; specs are small dicts, so even the cap is only
-#: ~1 MB. An evicted-then-needed spec is re-fetched via the
-#: ``_SpecMissing`` retry, costing one extra round trip, not
-#: correctness.
-_SPEC_CACHE_LIMIT = 1024
-
 
 def resolve_backend(backend: Optional[str] = None, workers: int = 1) -> str:
     """Resolve a ``backend`` request into one of :data:`BACKENDS`.
@@ -202,7 +190,9 @@ def parse_hosts(hosts=None) -> List[Tuple[str, int]]:
 
     Accepts a sequence of ``"host:port"`` strings (or ready
     ``(host, port)`` tuples); ``None`` falls back to the
-    ``REPRO_HOSTS`` environment variable (comma-separated).
+    ``REPRO_HOSTS`` environment variable (comma-separated). A port
+    that is not a decimal integer in 1..65535 raises ``ValueError``
+    naming the entry.
     """
     if hosts is None:
         raw = os.environ.get(HOSTS_ENV, "")
@@ -217,6 +207,12 @@ def parse_hosts(hosts=None) -> List[Tuple[str, int]]:
                 raise ValueError(
                     f"socket host {entry!r} must be 'host:port'"
                 )
+        port = str(port).strip()
+        if not port.isdecimal() or not 1 <= int(port) <= 65535:
+            raise ValueError(
+                f"socket host {entry!r}: port must be an integer "
+                "in 1..65535"
+            )
         parsed.append((host, int(port)))
     if not parsed:
         raise ValueError(
@@ -475,7 +471,6 @@ class SweepPlan:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         hosts=None,
-        intern_specs: bool = True,
         shm: Optional[bool] = None,
         checkpoint=None,
         auth_token: Optional[str] = None,
@@ -495,7 +490,6 @@ class SweepPlan:
             backend=backend,
             workers=workers,
             hosts=hosts,
-            intern_specs=intern_specs,
             shm=shm,
             checkpoint=checkpoint,
             auth_token=auth_token,
@@ -516,41 +510,6 @@ def _run_chunk(spec: Dict[str, object], kind: str, m, seeds) -> list:
     if kind == CELL_CURVE:
         return parallel._fixed_m_chunk(spec, int(m), list(seeds))
     raise ValueError(f"unknown cell kind {kind!r}")
-
-
-class _SpecMissing(Exception):
-    """Worker-side cache miss: the chunk arrived before its cell spec.
-
-    Raised inside a pool worker and caught by the process backend,
-    which resubmits the chunk with the pickled spec attached. At most
-    one miss per worker per cell.
-    """
-
-
-#: per-worker interned cell specs (populated in pool worker processes)
-_worker_specs: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-
-
-def _intern_spec(key: str, blob: Optional[bytes]) -> Dict[str, object]:
-    """Return the cell spec for ``key``, interning ``blob`` if given."""
-    if blob is not None:
-        spec = pickle.loads(blob)
-        _worker_specs[key] = spec
-        _worker_specs.move_to_end(key)
-        while len(_worker_specs) > _SPEC_CACHE_LIMIT:
-            _worker_specs.popitem(last=False)
-        return spec
-    try:
-        spec = _worker_specs[key]
-    except KeyError:
-        raise _SpecMissing(key) from None
-    _worker_specs.move_to_end(key)
-    return spec
-
-
-def _process_chunk(key: str, blob: Optional[bytes], kind: str, m, seeds):
-    """Pool-worker entry point: intern the spec, run the chunk."""
-    return _run_chunk(_intern_spec(key, blob), kind, m, seeds)
 
 
 # -- driver-side graph preparation (shm backend) ------------------------
@@ -629,6 +588,61 @@ def _prepared_arrays(cell, task) -> Optional[Dict[str, np.ndarray]]:
     )
 
 
+def _arena_calls(tasks, cells):
+    """Encode the tasks' payloads into one :class:`~repro.experiments.
+    shm.SweepArena`; returns ``(arena, calls)``.
+
+    ``calls[i]`` is the ``(function, args)`` pool submission of
+    ``tasks[i]``: every spec is written once, and each task ships
+    either its pickled seed tuple (:func:`~repro.experiments.shm.
+    shm_chunk`) or, for eligible AMP tasks, the graph buffers
+    :func:`_prepared_arrays` sampled on the driver
+    (:func:`~repro.experiments.shm.shm_graph_chunk`, attached by the
+    worker as zero-copy read-only views). A submission carries only
+    the arena name and ``(offset, length)`` refs. The caller owns the
+    arena and disposes it.
+    """
+    used = sorted({t.cell for t in tasks})
+    spec_index = {ci: i for i, ci in enumerate(used)}
+    blobs: List[object] = [
+        pickle.dumps(cells[ci].spec, pickle.HIGHEST_PROTOCOL) for ci in used
+    ]
+    # Per task, either a seeds blob index or
+    # {array_name: (blob_index, dtype_str, shape)}.
+    bodies: List[object] = []
+    for task in tasks:
+        prep = _prepared_arrays(cells[task.cell], task)
+        if prep is None:
+            bodies.append(len(blobs))
+            blobs.append(pickle.dumps(task.seeds, pickle.HIGHEST_PROTOCOL))
+        else:
+            entry = {}
+            for key in sorted(prep):
+                arr = prep[key]
+                entry[key] = (len(blobs), arr.dtype.str, arr.shape)
+                blobs.append(arr)
+            bodies.append(entry)
+    arena = shm_module.SweepArena(blobs, align=64)
+    # The arena owns the bytes now; drop the driver-side copies of the
+    # prepared arrays before the dispatch loop holds memory.
+    del blobs
+    calls = []
+    for task, body in zip(tasks, bodies):
+        head = (arena.name, arena.refs[spec_index[task.cell]])
+        tail = (cells[task.cell].kind, task.m)
+        if isinstance(body, int):
+            calls.append(
+                (shm_module.shm_chunk, head + (arena.refs[body],) + tail)
+            )
+        else:
+            refs = {
+                key: (arena.refs[bi], dt, shape)
+                for key, (bi, dt, shape) in body.items()
+            }
+            calls.append((shm_module.shm_graph_chunk, head + (refs,) + tail))
+    return arena, calls
+
+
 # -- executor -----------------------------------------------------------
 
 
@@ -645,8 +659,8 @@ class _Task:
     hi: int = 0  # layout-independent, unlike ``index``)
 
 
-#: unique spec-cache keys; the pid prefix keeps keys from different
-#: driver processes (which may share a worker) from colliding
+#: unique socket spec-cache keys; the pid prefix keeps keys from
+#: different driver processes (which may share a worker) from colliding
 _spec_key_counter = itertools.count()
 
 
@@ -669,11 +683,6 @@ class SweepExecutor:
     hosts:
         Socket worker addresses (``"host:port"`` strings) for the
         ``socket`` backend; ``None`` falls back to ``REPRO_HOSTS``.
-    intern_specs:
-        Ship each cell's invariant payload at most once per worker
-        (default). ``False`` re-ships the full spec with every chunk —
-        kept as a benchmark baseline for the dispatch-overhead
-        measurement in ``bench_perf_core.py``.
     shm:
         Dispatch the ``process`` backend's chunk payloads through a
         sweep-scoped shared-memory arena
@@ -723,7 +732,6 @@ class SweepExecutor:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         hosts=None,
-        intern_specs: bool = True,
         shm: Optional[bool] = None,
         checkpoint=None,
         auth_token: Optional[str] = None,
@@ -737,7 +745,6 @@ class SweepExecutor:
         self.workers = parallel.resolve_workers(workers)
         self.backend = resolve_backend(backend, self.workers)
         self._hosts = hosts
-        self.intern_specs = intern_specs
         self.shm = shm_module.resolve_shm(shm)
         if checkpoint is None:
             checkpoint = os.environ.get(CHECKPOINT_ENV) or None
@@ -814,9 +821,7 @@ class SweepExecutor:
 
         Required-queries cells yield ``[(succeeded, required_m), ...]``
         in trial order; success-curve cells yield one
-        ``[(exact, overlap), ...]`` list per grid point. This is the
-        layer the PR 2 compatibility wrappers in
-        :mod:`repro.experiments.parallel` consume.
+        ``[(exact, overlap), ...]`` list per grid point.
         """
         tasks = self._explode(plan)
         cells = plan._cells
@@ -901,10 +906,7 @@ class SweepExecutor:
             if self.backend == "serial":
                 self._execute_serial(pending, cells, emit)
             elif self.backend == "process":
-                if self.shm:
-                    self._execute_process_shm(pending, cells, emit)
-                else:
-                    self._execute_process(pending, cells, emit)
+                self._execute_process(pending, cells, emit)
             else:
                 self._execute_socket(pending, cells, emit)
 
@@ -931,139 +933,28 @@ class SweepExecutor:
         """Submit the queue to the cached spawn pool; retry once if it
         breaks mid-sweep, resubmitting every unfinished chunk.
 
-        Every ``pool.submit`` and ``future.result`` runs inside the
-        retry scope: a ``BrokenProcessPool`` surfacing anywhere — the
-        initial wave, a miss-retry resubmission, or a result — parks
-        the affected chunks back on ``unsent`` and reruns them on a
-        fresh pool (results are pure functions of their seeds, so the
-        retry is bit-identical). A second breakage fails the sweep.
+        Each task becomes one ``(function, args)`` submission: through
+        the pipe, ``_run_chunk`` with the pickled spec and seeds; with
+        ``shm``, the arena encoding of :func:`_arena_calls`, whose
+        arena is unlinked in the ``finally`` whether the sweep
+        finishes, raises, or retries. Every ``pool.submit`` and
+        ``future.result`` runs inside the retry scope: a
+        ``BrokenProcessPool`` surfacing anywhere parks the affected
+        chunks back on ``unsent`` and reruns them on a fresh pool
+        (results are pure functions of their seeds, and the arena
+        outlives the broken pool, so the retry is bit-identical). A
+        second breakage fails the sweep.
         """
-        blobs = {
-            ci: pickle.dumps(cells[ci].spec, pickle.HIGHEST_PROTOCOL)
-            for ci in {t.cell for t in tasks}
-        }
-        keys = {ci: _next_spec_key(ci) for ci in blobs}
-        # Seed each cell's spec into the pool with its first chunks
-        # (likely to land on distinct workers); later chunks ship only
-        # seeds + indices and fall back to the miss-retry protocol.
-        # FIFO order matters: the blob-carrying chunks must reach the
-        # pool before their cell's blob-less ones.
-        unsent: "deque[Tuple[_Task, bool]]" = deque()
-        seen: Dict[int, int] = {}
-        for task in tasks:
-            shipped = seen.get(task.cell, 0)
-            unsent.append((task, shipped < self.workers))
-            seen[task.cell] = shipped + 1
-
-        retried_broken = False
-        while True:
-            pool = parallel._get_pool(self.workers)
-            pending: Dict[object, _Task] = {}
-            try:
-                while unsent or pending:
-                    while unsent:
-                        # peek, submit, then pop — a submit() that
-                        # raises BrokenProcessPool leaves the chunk
-                        # queued for the fresh-pool retry
-                        task, with_blob = unsent[0]
-                        cell = cells[task.cell]
-                        blob = (
-                            blobs[task.cell]
-                            if (with_blob or not self.intern_specs)
-                            else None
-                        )
-                        future = pool.submit(
-                            _process_chunk, keys[task.cell], blob,
-                            cell.kind, task.m, task.seeds,
-                        )
-                        unsent.popleft()
-                        pending[future] = task
-                    done, _ = wait(
-                        list(pending), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        task = pending.pop(future)
-                        try:
-                            result = future.result()
-                        except _SpecMissing:
-                            unsent.append((task, True))
-                            continue
-                        except BrokenProcessPool:
-                            unsent.append((task, True))
-                            raise
-                        emit(task, result)
-                return
-            except BrokenProcessPool:
-                # A worker died (OOM kill, segfault): the whole
-                # executor is broken for good.
-                if retried_broken:
-                    raise
-                retried_broken = True
-                unsent.extend((t, True) for t in pending.values())
-                parallel.shutdown_pool()
-
-    def _execute_process_shm(self, tasks, cells, emit) -> None:
-        """Process backend with shared-memory payload dispatch.
-
-        All cell specs and per-task payloads are laid out once in one
-        :class:`~repro.experiments.shm.SweepArena`; every submission
-        then carries only the arena name plus ``(offset, length)``
-        refs, so steady-state dispatch bytes are near-constant per
-        chunk (no stacked seed pickling through the pool pipe, no
-        spec-miss retry protocol — the arena always has everything).
-
-        Eligible AMP chunks go further: :func:`_prepared_arrays`
-        samples their pooling graphs on the driver and publishes the
-        raw buffers — the fixed-``m`` chunk's single stacked CSR, or a
-        required-``m`` chunk's fully grown measurement streams — into
-        the arena, and the worker attaches zero-copy read-only views
-        (:func:`~repro.experiments.shm.shm_graph_chunk`) instead of
-        re-sampling and re-stacking per chunk. Ineligible tasks ship
-        pickled seeds exactly as before, in the same arena. The arena
-        is unlinked in the ``finally`` whether the sweep finishes,
-        raises, or retries; the retry-once ``BrokenProcessPool``
-        semantics mirror :meth:`_execute_process` (payloads are pure
-        functions of their seeds, and the arena outlives the broken
-        pool, so the fresh pool replays the identical payload).
-        """
-        used = sorted({t.cell for t in tasks})
-        spec_index = {ci: i for i, ci in enumerate(used)}
-        blobs: List[object] = [
-            pickle.dumps(cells[ci].spec, pickle.HIGHEST_PROTOCOL)
-            for ci in used
-        ]
-        # Per task, either ("seeds", blob_index) or
-        # ("prep", {array_name: (blob_index, dtype_str, shape)}).
-        descriptors: List[Tuple[str, object]] = []
-        for task in tasks:
-            prep = _prepared_arrays(cells[task.cell], task)
-            if prep is None:
-                descriptors.append(("seeds", len(blobs)))
-                blobs.append(
-                    pickle.dumps(task.seeds, pickle.HIGHEST_PROTOCOL)
-                )
-            else:
-                entry = {}
-                for key in sorted(prep):
-                    arr = prep[key]
-                    entry[key] = (len(blobs), arr.dtype.str, arr.shape)
-                    blobs.append(arr)
-                descriptors.append(("prep", entry))
-        arena = shm_module.SweepArena(blobs, align=64)
-        # The arena owns the bytes now; drop the driver-side copies of
-        # the prepared arrays before the dispatch loop holds memory.
-        del blobs
+        arena = None
+        if self.shm:
+            arena, calls = _arena_calls(tasks, cells)
+        else:
+            calls = [
+                (_run_chunk, (cells[t.cell].spec, cells[t.cell].kind,
+                              t.m, t.seeds))
+                for t in tasks
+            ]
         try:
-            spec_refs = {ci: arena.refs[spec_index[ci]] for ci in used}
-            payloads: List[Tuple[str, object]] = []
-            for form, body in descriptors:
-                if form == "seeds":
-                    payloads.append((form, arena.refs[body]))
-                else:
-                    payloads.append((form, {
-                        key: (arena.refs[bi], dt, shape)
-                        for key, (bi, dt, shape) in body.items()
-                    }))
             unsent: "deque[int]" = deque(range(len(tasks)))
             retried_broken = False
             while True:
@@ -1072,23 +963,12 @@ class SweepExecutor:
                 try:
                     while unsent or pending:
                         while unsent:
-                            # peek, submit, then pop — see
-                            # _execute_process
-                            ti = unsent[0]
-                            task = tasks[ti]
-                            form, body = payloads[ti]
-                            entry = (
-                                shm_module.shm_chunk
-                                if form == "seeds"
-                                else shm_module.shm_graph_chunk
-                            )
-                            future = pool.submit(
-                                entry, arena.name,
-                                spec_refs[task.cell], body,
-                                cells[task.cell].kind, task.m,
-                            )
-                            unsent.popleft()
-                            pending[future] = ti
+                            # peek, submit, then pop — a submit() that
+                            # raises BrokenProcessPool leaves the chunk
+                            # queued for the fresh-pool retry
+                            fn, args = calls[unsent[0]]
+                            future = pool.submit(fn, *args)
+                            pending[future] = unsent.popleft()
                         done, _ = wait(
                             list(pending), return_when=FIRST_COMPLETED
                         )
@@ -1102,13 +982,16 @@ class SweepExecutor:
                             emit(tasks[ti], result)
                     return
                 except BrokenProcessPool:
+                    # A worker died (OOM kill, segfault): the whole
+                    # executor is broken for good.
                     if retried_broken:
                         raise
                     retried_broken = True
                     unsent.extend(pending.values())
                     parallel.shutdown_pool()
         finally:
-            arena.dispose()
+            if arena is not None:
+                arena.dispose()
 
     def _execute_socket(self, tasks, cells, emit) -> None:
         """Drive remote socket workers elastically.
@@ -1254,10 +1137,7 @@ class SweepExecutor:
                             continue  # speculation duplicate, resolved
                         inflight[key] = (time.monotonic(), task)
                     try:
-                        # intern_specs=False is the benchmark baseline:
-                        # re-ship the spec with every chunk instead of
-                        # once per connection.
-                        if not self.intern_specs or task.cell not in sent:
+                        if task.cell not in sent:
                             worker_mod.send_message(
                                 conn,
                                 ("spec", keys[task.cell],

@@ -1,21 +1,21 @@
 """Sweep-scoped shared-memory dispatch arena for the process backend.
 
-The process backend's steady-state chunk dispatch still pickles each
-chunk's payload through the pool pipe: the cell key, the kind/m tag
-and — dominating the message — the chunk's tuple of
+Through the pool pipe, the process backend pickles each chunk's whole
+payload with every submission: the cell spec, the kind/m tag and —
+dominating the message — the chunk's tuple of
 ``numpy.random.SeedSequence`` objects (~150 bytes each, tens to
-hundreds per chunk). Spec interning (PR 5) removed the per-cell
-invariant from the steady state, but the per-chunk seed payload still
-scales with the chunk size.
+hundreds per chunk), so dispatch bytes scale with spec size and chunk
+width.
 
-This module moves the whole variable payload out of the pipe. At sweep
-start the driver writes every cell's pickled spec and every task's
-pickled seed tuple into **one** ``multiprocessing.shared_memory``
+This module is the other payload encoding of the same dispatch loop
+(:meth:`~repro.experiments.scheduler.SweepExecutor._execute_process`).
+At sweep start the driver writes every cell's pickled spec and every
+task's pickled seed tuple into **one** ``multiprocessing.shared_memory``
 segment (:class:`SweepArena`); each chunk submission then ships only
 
     (arena name, spec (offset, length), seeds (offset, length), kind, m)
 
-— a near-constant ~150 bytes per chunk regardless of spec size or
+— a near-constant 62 bytes per chunk regardless of spec size or
 chunk width (measured in the ``shm_dispatch_bytes`` benchmark case).
 Workers attach the segment once (cached across chunks), slice the
 referenced bytes, and unpickle — the same objects the pipe would have
@@ -281,10 +281,10 @@ def read_array(
 def shm_chunk(name: str, spec_ref: BlobRef, seeds_ref: BlobRef, kind: str, m):
     """Pool-worker entry point: resolve arena refs, run the chunk.
 
-    The counterpart of :func:`repro.experiments.scheduler.
-    _process_chunk` with both payload halves read from the arena
-    instead of the pipe; the chunk execution itself is the shared
-    :func:`~repro.experiments.scheduler._run_chunk`.
+    The arena counterpart of a pipe submission of
+    :func:`~repro.experiments.scheduler._run_chunk`: spec and seeds
+    are read from the arena instead of the pipe, then the same shared
+    chunk runner executes them.
     """
     from repro.experiments.scheduler import _run_chunk
 

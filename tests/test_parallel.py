@@ -20,10 +20,12 @@ import pytest
 import repro
 from repro.core.chunking import chunk_bounds, chunk_sequence
 from repro.experiments import parallel
+from repro.experiments import shm as shm_module
 from repro.experiments.runner import (
     required_queries_trials,
     success_rate_curve,
 )
+from repro.experiments.scheduler import SweepExecutor, SweepPlan
 
 
 class _KillOnceChannel(repro.NoiselessChannel):
@@ -289,11 +291,13 @@ class TestPoolLifecycle:
         assert "SWEEP_DONE" in proc.stdout
         assert "SHUTDOWN_POOL_RAN" in proc.stdout, proc.stdout
 
-    def test_broken_pool_mid_sweep_retried_on_fresh_pool(self, tmp_path):
+    @pytest.mark.parametrize("shm", [False, True])
+    def test_broken_pool_mid_sweep_retried_on_fresh_pool(self, tmp_path, shm):
         # A worker dying *mid-sweep* (not at pool creation) must not
         # fail the sweep: the engine reruns every unfinished chunk on
         # a fresh pool, and the merged outcome is bit-identical to the
-        # serial run (trials are pure functions of their seeds).
+        # serial run (trials are pure functions of their seeds). With
+        # shm the retry replays the same arena, unlinked afterwards.
         flag = tmp_path / "kill-once"
         flag.touch()
         sample = required_queries_trials(
@@ -303,6 +307,7 @@ class TestPoolLifecycle:
             trials=5,
             seed=3,
             workers=2,
+            shm=shm,
         )
         reference = required_queries_trials(
             120, 3, repro.NoiselessChannel(), trials=5, seed=3
@@ -310,35 +315,40 @@ class TestPoolLifecycle:
         assert not flag.exists()  # the first attempt did die
         assert sample.values == reference.values
         assert sample.failures == reference.failures
+        assert not shm_module._live_arenas
 
-    def test_broken_pool_twice_fails_the_sweep(self):
+    @pytest.mark.parametrize("shm", [False, True])
+    def test_broken_pool_twice_fails_the_sweep(self, shm):
         from concurrent.futures.process import BrokenProcessPool
 
         with pytest.raises(BrokenProcessPool):
             required_queries_trials(
-                100, 3, _AlwaysKillChannel(), trials=4, seed=1, workers=2
+                100, 3, _AlwaysKillChannel(), trials=4, seed=1, workers=2,
+                shm=shm,
             )
+        assert not shm_module._live_arenas
         # the broken executor must not poison later sweeps
         after = required_queries_trials(
-            100, 3, repro.NoiselessChannel(), trials=3, seed=2, workers=2
+            100, 3, repro.NoiselessChannel(), trials=3, seed=2, workers=2,
+            shm=shm,
         )
         assert after.trials == 3
+        assert not shm_module._live_arenas
 
 
 class TestSchedulerInternals:
-    def test_required_queries_outcomes_trial_order(self):
+    def test_one_cell_plan_outcomes_trial_order(self):
         # Outcomes arrive in trial order regardless of chunk layout.
         serial = required_queries_trials(
             150, 4, repro.NoiselessChannel(), trials=6, seed=2
         )
-        outcomes = parallel.required_queries_outcomes(
-            150,
-            4,
-            repro.NoiselessChannel(),
-            trials=6,
-            seed=2,
-            workers=2,
+        plan = SweepPlan()
+        plan.add_required_queries(
+            150, 4, repro.NoiselessChannel(), trials=6, seed=2
         )
+        outcomes = SweepExecutor(backend="process", workers=2).run_outcomes(
+            plan
+        )[0]
         assert [m for ok, m in outcomes if ok] == serial.values
 
     def test_pool_reuse_and_shutdown(self):

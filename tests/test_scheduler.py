@@ -32,9 +32,6 @@ from repro.experiments.scheduler import (
     SweepPlan,
     parse_hosts,
     resolve_backend,
-    _intern_spec,
-    _SpecMissing,
-    _worker_specs,
 )
 from repro.utils.rng import spawn_rngs, spawn_seeds
 
@@ -200,9 +197,12 @@ class TestBitIdentity:
     def test_serial_backend_matches_per_cell_references(self):
         assert_matches_references(build_mixed_plan().run(backend="serial"))
 
+    @pytest.mark.parametrize("shm", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_process_backend_matches_for_any_worker_count(self, workers):
-        results = build_mixed_plan().run(backend="process", workers=workers)
+    def test_process_backend_matches_for_any_worker_count(self, workers, shm):
+        results = build_mixed_plan().run(
+            backend="process", workers=workers, shm=shm
+        )
         assert_matches_references(results)
 
     def test_socket_backend_round_trip(self, socket_hosts):
@@ -212,15 +212,6 @@ class TestBitIdentity:
             backend="socket", hosts=socket_hosts
         )
         assert_matches_references(results)
-
-    def test_interning_disabled_is_identical(self):
-        plan = build_mixed_plan()
-        interned = SweepExecutor(backend="process", workers=2).run(plan)
-        shipped = SweepExecutor(
-            backend="process", workers=2, intern_specs=False
-        ).run(plan)
-        for a, b in zip(interned, shipped):
-            assert a == b
 
     def test_plans_are_reusable(self):
         plan = build_mixed_plan()
@@ -326,6 +317,15 @@ class TestBackendResolution:
             parse_hosts(None)
         with pytest.raises(ValueError, match="host"):
             parse_hosts(["no-port"])
+        # ports must be decimal integers in 1..65535; the error names
+        # the offending entry
+        for bad in ["h:70000", "h:-1", "h:0", "h:", "h:abc", ("h", 65536)]:
+            with pytest.raises(ValueError, match="1..65535") as err:
+                parse_hosts(["ok:1", bad])
+            assert repr(bad) in str(err.value)
+        assert parse_hosts(["h:65535", ("g", "1")]) == [
+            ("h", 65535), ("g", 1)
+        ]
 
 
 class TestPlanValidation:
@@ -371,37 +371,6 @@ class TestPlanValidation:
             SweepPlan().add_required_queries(
                 100, 3, repro.ZChannel(0.1), trials=0
             )
-
-
-class TestSpecInterning:
-    def test_intern_then_hit(self):
-        import pickle
-
-        _worker_specs.clear()
-        spec = {"n": 10, "payload": "x" * 100}
-        blob = pickle.dumps(spec)
-        assert _intern_spec("k1", blob) == spec
-        # hit: no blob needed any more
-        assert _intern_spec("k1", None) == spec
-
-    def test_miss_raises_spec_missing(self):
-        _worker_specs.clear()
-        with pytest.raises(_SpecMissing):
-            _intern_spec("never-seen", None)
-
-    def test_cache_bounded(self):
-        import pickle
-
-        from repro.experiments.scheduler import _SPEC_CACHE_LIMIT
-
-        _worker_specs.clear()
-        for i in range(_SPEC_CACHE_LIMIT + 10):
-            _intern_spec(f"key-{i}", pickle.dumps({"i": i}))
-        assert len(_worker_specs) == _SPEC_CACHE_LIMIT
-        # oldest entries were evicted, newest retained
-        with pytest.raises(_SpecMissing):
-            _intern_spec("key-0", None)
-        assert _intern_spec(f"key-{_SPEC_CACHE_LIMIT + 9}", None)
 
 
 class TestSearchThroughEngine:
