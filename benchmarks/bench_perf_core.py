@@ -12,8 +12,9 @@ Two entry modes:
 * **perf-trajectory script** (``python benchmarks/bench_perf_core.py``):
   runs the end-to-end performance suite — dense-regime CSR
   construction (counting vs sort at the paper's ``Gamma = n/2``,
-  ``n = 10^5``), a fig2-style required-queries sweep (legacy engine vs
-  batch, serial vs sharded across ``--workers`` processes), a
+  ``n = 10^5``), a fig2-style required-queries sweep (per-query
+  reference loop vs batch, serial vs sharded across ``--workers``
+  processes), a
   full-scale sparse AMP run with the dense path poisoned, batched
   (block-diagonal) AMP sweep cells against the pre-batching per-trial
   loop, a full-scale stacked-AMP poison case, the AMP required-m
@@ -357,34 +358,44 @@ def _case_csr_sparse_u32(smoke):
 
 
 def _case_fig2_sweep(smoke, workers):
-    """Fig2-style required-queries sweep: legacy vs batch vs sharded."""
+    """Fig2-style required-queries sweep: per-query vs batch vs sharded."""
     from repro.experiments import shutdown_pool
     from repro.experiments.runner import required_queries_trials
+    from repro.utils.rng import spawn_seeds
 
     n_values = (400, 1000) if smoke else (1000, 3000, 10_000)
     trials = 3 if smoke else 10
     channel = repro.ZChannel(0.1)
 
-    def sweep(engine, w):
+    def reference_sweep():
+        # The paper's per-query procedure, one trial per child seed.
         out = []
         for n in n_values:
             k = repro.sublinear_k(n, 0.25)
-            out.append(
-                required_queries_trials(
-                    n, k, channel, trials=trials, seed=2022,
-                    engine=engine, workers=w,
-                ).values
-            )
+            runs = [
+                repro.required_queries(n, k, channel, np.random.default_rng(s))
+                for s in spawn_seeds(2022, trials)
+            ]
+            out.append([int(r.required_m) for r in runs if r.succeeded])
         return out
 
-    legacy_s, legacy_vals = _timed(lambda: sweep("legacy", 1))
-    serial_s, serial_vals = _timed(lambda: sweep("batch", 1))
+    def sweep(w):
+        return [
+            required_queries_trials(
+                n, repro.sublinear_k(n, 0.25), channel, trials=trials,
+                seed=2022, workers=w,
+            ).values
+            for n in n_values
+        ]
+
+    baseline_s, _ = _timed(reference_sweep)
+    serial_s, serial_vals = _timed(lambda: sweep(1))
     # Warm the pool outside the timed region: interpreter start-up is a
     # one-time cost per session, not a per-sweep cost.
     required_queries_trials(
         100, 3, channel, trials=workers, seed=0, workers=workers
     )
-    sharded_s, sharded_vals = _timed(lambda: sweep("batch", workers))
+    sharded_s, sharded_vals = _timed(lambda: sweep(workers))
     shutdown_pool()
     assert sharded_vals == serial_vals  # bit-identical sharding
     return {
@@ -394,9 +405,9 @@ def _case_fig2_sweep(smoke, workers):
         "workers": workers,
         "wall_s": round(sharded_s, 4),
         "serial_batch_s": round(serial_s, 4),
-        "baseline": "legacy engine, serial",
-        "baseline_s": round(legacy_s, 4),
-        "speedup": round(legacy_s / sharded_s, 3) if sharded_s else None,
+        "baseline": "per-query reference loop, serial",
+        "baseline_s": round(baseline_s, 4),
+        "speedup": round(baseline_s / sharded_s, 3) if sharded_s else None,
         "speedup_vs_serial_batch": (
             round(serial_s / sharded_s, 3) if sharded_s else None
         ),

@@ -32,10 +32,10 @@ Single-source kernel
 --------------------
 Standardization (:func:`channel_corrected_results`,
 :func:`standardization_constants`) and the iteration itself
-(:func:`iterate_amp`) are shared helpers: the dense and sparse paths of
-:func:`run_amp` run the kernel on a one-trial stack, and the batched
-runner (:mod:`repro.amp.batch_amp`) runs it on a ``T``-trial
-block-diagonal stack — uniform-``m`` (one sweep cell) or, via the
+(:func:`iterate_amp`) are shared helpers: :func:`run_amp` runs the
+kernel on a one-trial stack, and the batched runner
+(:mod:`repro.amp.batch_amp`) runs it on a ``T``-trial block-diagonal
+stack — uniform-``m`` (one sweep cell) or, via the
 ``row_sizes`` parameter, heterogeneous-``m`` (the required-queries
 prefix probes). Every kernel operation is row-independent —
 reductions along the last axis of C-contiguous arrays (or pairwise
@@ -48,10 +48,11 @@ The per-iteration array passes themselves live behind the pluggable
 compute seam of :mod:`repro.amp.kernels`: :func:`iterate_amp` is one
 stack-shape-agnostic driver (a :class:`~repro.amp.kernels.StackLayout`
 describes uniform vs ragged) that alternates the backend's
-``posterior_step`` / ``residual_step`` phases with the caller's
-matvecs. The default ``numpy`` backend performs exactly the operations
-this module's pre-seam loops performed — bit-identical by construction
-— while ``kernel="numba"`` fuses each phase into one jitted loop and
+``adjoint_posterior`` / ``forward_residual`` phases, each of which
+applies the stack operator's matvec inside the seam. The default
+``numpy`` backend performs exactly the operations this module's
+pre-seam loops performed — bit-identical by construction — while
+``kernel="numba"`` fuses each phase into one jitted loop and
 ``"numpy32"``/``"numba32"`` compute in float32 (both opt-in,
 tolerance-tested; see the kernels module docstring).
 """
@@ -64,12 +65,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.amp.denoisers import BayesBernoulliDenoiser, Denoiser
-from repro.amp.kernels import (
-    CSRStackOperator,
-    MatvecOperator,
-    StackLayout,
-    resolve_kernel,
-)
+from repro.amp.kernels import CSRStackOperator, StackLayout, resolve_kernel
 from repro.core.measurement import Measurements
 from repro.core.noise import Channel, GaussianQueryNoise, NoiselessChannel, NoisyChannel
 from repro.core.scores import top_k_estimate
@@ -108,7 +104,7 @@ class AMPConfig:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
-# -- standardization (single source for dense / sparse / batched) -------
+# -- standardization (single source for standalone and batched) --------
 
 
 def standardization_constants(n: int, m: int, gamma: int) -> Tuple[float, float]:
@@ -194,15 +190,14 @@ def iterate_amp(
         diagonal CSR plus centering/scales), which lets the kernel
         backend run the matvec pair inside the seam (scipy reference,
         fused CSR loop, or GPU). Any object with flat-vector
-        ``matvec`` / ``rmatvec`` methods works (e.g. a
-        :class:`~repro.amp.kernels.MatvecOperator` wrapping closures);
-        such generic operators run through the kernels' reference
-        phase implementations. ``matvec`` maps a ``(T*n,)`` stack of
-        signal vectors to a ``(T*m,)`` stack of measurement vectors,
-        ``rmatvec`` the reverse. For ``T = 1`` these are the ordinary
-        per-trial maps. Under a float32 kernel the operator must
-        produce the kernel dtype (cast the CSR data once; see
-        :mod:`repro.amp.batch_amp`).
+        ``matvec`` / ``rmatvec`` methods works (e.g. a dense reference
+        operator in a test); such generic operators run through the
+        NumPy reference phase implementations. ``matvec`` maps a
+        ``(T*n,)`` stack of signal vectors to a ``(T*m,)`` stack of
+        measurement vectors, ``rmatvec`` the reverse. For ``T = 1``
+        these are the ordinary per-trial maps. Under a float32 kernel
+        the operator must produce the kernel dtype (cast the CSR data
+        once; see :mod:`repro.amp.batch_amp`).
     y:
         Standardized measurements, shape ``(T, m)`` (one row per trial),
         or — with ``row_sizes`` — one flat concatenation of the
@@ -348,7 +343,6 @@ def run_amp(
     *,
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
-    sparse: Optional[bool] = True,
     kernel=None,
 ) -> ReconstructionResult:
     """Run AMP on a set of pooled measurements and decode by top-k.
@@ -363,15 +357,6 @@ def run_amp(
         :class:`BayesBernoulliDenoiser` with prior ``k/n``.
     config:
         Iteration parameters.
-    sparse:
-        Represent the pooling matrix sparsely and apply the centering
-        as a rank-one correction on the fly, never materializing any
-        dense ``m x n`` matrix — the default, which keeps AMP viable at
-        the paper's full scale (``n = 10^5``, where the dense adjacency
-        alone would be tens of GiB). Pass ``False`` to force the dense
-        path (small-problem debugging; both paths compute identical
-        iterates up to float round-off). ``None`` — the pre-sparse-era
-        "choose automatically" sentinel — now also means sparse.
     kernel:
         Compute backend (see :mod:`repro.amp.kernels`): a name from
         :data:`~repro.amp.kernels.KERNELS`, a ready kernel instance,
@@ -379,6 +364,12 @@ def run_amp(
         bit-identical ``numpy`` default. Under a float32 kernel the
         adjacency data is cast once up front so the whole iteration —
         matvecs included — runs in float32.
+
+    The pooling matrix stays sparse and the centering is applied as a
+    rank-one correction on the fly, so no dense ``m x n`` matrix is
+    ever materialized — which keeps AMP viable at the paper's full
+    scale (``n = 10^5``, where the dense adjacency alone would be tens
+    of GiB).
 
     Returns
     -------
@@ -399,39 +390,26 @@ def run_amp(
         raise ValueError("AMP requires at least one query")
     if denoiser is None:
         denoiser = default_denoiser(n, k)
-    if sparse is None:
-        sparse = True
 
     # Standardization (see module docstring). The centered, scaled
     # matrix is A_s = (A - c) / s; both products are applied as the raw
-    # product plus a rank-one correction, which keeps the sparse path
+    # product plus a rank-one correction, which keeps the iteration
     # free of any dense m x n intermediate.
     y_raw = channel_corrected_results(
         measurements.results, graph.gamma, measurements.channel
     )
     c, scale = standardization_constants(n, m, graph.gamma)
     y = (y_raw - c * k) / scale
-    adjacency = graph.adjacency_sparse() if sparse else graph.adjacency_dense()
+    adjacency = graph.adjacency_sparse()
     if kern.dtype != np.float64:
         adjacency = adjacency.astype(kern.dtype)
-    if sparse:
-        # The one-trial stack operator: its transpose is the free CSC
-        # view (no O(nnz) tocsr() per call), and its reference
-        # matvec/rmatvec perform the same pairwise sums and per-element
-        # centering/scaling as the pre-seam closures — bit-identical —
-        # while handing fused/GPU kernels the raw CSR arrays so the
-        # matvec runs inside the seam.
-        operator = CSRStackOperator(adjacency, n=n, c=c, scale=scale)
-    else:
-        adjacency_t = adjacency.T
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            return (adjacency @ x - c * x.sum()) / scale
-
-        def rmatvec(z: np.ndarray) -> np.ndarray:
-            return (adjacency_t @ z - c * z.sum()) / scale
-
-        operator = MatvecOperator(matvec, rmatvec)
+    # The one-trial stack operator: its transpose is the free CSC view
+    # (no O(nnz) tocsr() per call), and its reference matvec/rmatvec
+    # perform the same pairwise sums and per-element centering/scaling
+    # as the pre-seam closures — bit-identical — while handing
+    # fused/GPU kernels the raw CSR arrays so the matvec runs inside
+    # the seam.
+    operator = CSRStackOperator(adjacency, n=n, c=c, scale=scale)
 
     stacked, iterations, converged, histories = iterate_amp(
         operator, y[None, :], denoiser, config, n=n, kernel=kern
@@ -456,7 +434,7 @@ def run_amp(
             "m": m,
             "k": k,
             "channel": measurements.channel.describe(),
-            "sparse": bool(sparse),
+            "sparse": True,
             "kernel": kern.name,
             "history": histories[0] if histories is not None else [],
         },

@@ -1207,11 +1207,9 @@ def required_queries_amp_linear(
     Probes every ``check_every`` multiple in ascending order with a
     standalone :func:`run_amp` on the trial's prefix data until the
     first exact decode. This is the semantic definition
-    :func:`required_queries_amp` reproduces (and is pinned against);
-    it also serves as the ``engine="legacy"`` path of
-    ``required_queries_trials(algorithm="amp")``. Orders of magnitude
-    more matvec work at sweep scale — use the stacked scan for real
-    runs.
+    :func:`required_queries_amp` reproduces (and is pinned against).
+    Orders of magnitude more matvec work at sweep scale — the sweeps
+    run the stacked scan.
     """
     n = check_positive_int(n, "n")
     k = check_positive_int(k, "k")

@@ -16,20 +16,21 @@ into two phase calls an :class:`AMPKernel` backend implements,
     the forward matvec plus the residual update
     ``z' = y - A_s sigma + onsager * z`` and damping.
 
-The matvec pair lives *inside* the seam: the driver hands each phase a
-:class:`CSRStackOperator` (the standardized block-diagonal stack in
-raw CSR form), and the backend decides how to apply it — the reference
-kernel delegates to the operator's scipy CSR / CSC-view products (the
-exact pre-seam closures), the fused backend runs one jitted CSR
-segment loop per phase with the adjacent array passes inlined (no
-``(T*m,)``/``(T*n,)`` intermediates), and the GPU backend keeps a
-cached device copy of the stack. The narrower ``posterior_step`` /
-``residual_step`` phase methods remain as the matvec-free inner
-halves; generic operators (e.g. the dense debugging path's
-:class:`MatvecOperator`) run through them unchanged. A
-:class:`StackLayout` value describes the trial stack — uniform
-``(T, m)`` or ragged ``row_sizes`` — so one driver and one kernel
-interface cover both stack shapes.
+The matvec pair lives *inside* the seam: every AMP path hands each
+phase a :class:`CSRStackOperator` (the standardized block-diagonal
+stack in raw CSR form), and the backend decides how to apply it — the
+reference kernel delegates to the operator's scipy CSR / CSC-view
+products (the exact pre-seam closures), the fused backend runs one
+jitted CSR segment loop per phase with the adjacent array passes
+inlined (no ``(T*m,)``/``(T*n,)`` intermediates), and the GPU backend
+keeps a cached device copy of the stack. The reference kernel's
+matvec-free inner halves, ``posterior_step`` / ``residual_step``,
+also serve any other operator with flat ``matvec`` / ``rmatvec``
+methods (a test's dense reference operator, say): the fused and GPU
+backends hand such operators, and denoisers without a fused form, to
+those NumPy phases. A :class:`StackLayout` value describes the trial
+stack — uniform ``(T, m)`` or ragged ``row_sizes`` — so one driver and
+one kernel interface cover both stack shapes.
 
 Backends
 --------
@@ -212,25 +213,6 @@ class StackLayout:
 
 
 # -- stack operators -----------------------------------------------------
-
-
-class MatvecOperator:
-    """Adapter wrapping plain ``(matvec, rmatvec)`` flat-vector callables.
-
-    Used by paths that have no raw CSR stack to expose (the dense
-    debugging path of :func:`repro.amp.run_amp`); every kernel applies
-    it through the generic phase implementations.
-    """
-
-    def __init__(self, matvec, rmatvec) -> None:
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._matvec(x)
-
-    def rmatvec(self, z: np.ndarray) -> np.ndarray:
-        return self._rmatvec(z)
 
 
 class CSRStackOperator:
@@ -513,102 +495,6 @@ def _get_numba_functions() -> Dict[str, Callable]:
             out[i] = acc
         return out
 
-    @numba.njit(cache=True)
-    def bayes_posterior(
-        rmv, sigma, z_flat, bounds, sqrt_m, nm_ratio, sqrt_n,
-        log_odds, exp_clip, tau_floor, damping,
-    ):
-        # One pass per trial: residual segment sum -> tau -> inlined
-        # Bayes posterior mean + derivative -> damping -> Onsager ->
-        # step norm. No Python callback, no intermediate stack arrays.
-        rows, n = sigma.shape
-        sigma_new = np.empty_like(sigma)
-        onsager = np.empty(rows, dtype=sigma.dtype)
-        tau = np.empty(rows, dtype=sigma.dtype)
-        step = np.empty(rows, dtype=sigma.dtype)
-        for i in range(rows):
-            acc = 0.0
-            for j in range(bounds[i], bounds[i + 1]):
-                acc += z_flat[j] * z_flat[j]
-            t = math.sqrt(acc) / sqrt_m[i]
-            if t < tau_floor:
-                t = tau_floor
-            tau[i] = t
-            half_inv_t2 = 1.0 / (2.0 * t * t)
-            deriv_sum = 0.0
-            step_sum = 0.0
-            base = i * n
-            for j in range(n):
-                x = rmv[base + j] + sigma[i, j]
-                e = log_odds + (1.0 - 2.0 * x) * half_inv_t2
-                if e > exp_clip:
-                    e = exp_clip
-                elif e < -exp_clip:
-                    e = -exp_clip
-                eta = 1.0 / (1.0 + math.exp(e))
-                deriv_sum += eta * (1.0 - eta)
-                value = eta
-                if damping > 0.0:
-                    value = (1.0 - damping) * eta + damping * sigma[i, j]
-                d = value - sigma[i, j]
-                step_sum += d * d
-                sigma_new[i, j] = value
-            onsager[i] = nm_ratio[i] * (deriv_sum / (t * t) / n)
-            step[i] = math.sqrt(step_sum) / sqrt_n
-        return sigma_new, onsager, tau, step
-
-    @numba.njit(cache=True)
-    def soft_threshold_posterior(
-        rmv, sigma, z_flat, bounds, sqrt_m, nm_ratio, sqrt_n,
-        alpha, tau_floor, damping,
-    ):
-        rows, n = sigma.shape
-        sigma_new = np.empty_like(sigma)
-        onsager = np.empty(rows, dtype=sigma.dtype)
-        tau = np.empty(rows, dtype=sigma.dtype)
-        step = np.empty(rows, dtype=sigma.dtype)
-        for i in range(rows):
-            acc = 0.0
-            for j in range(bounds[i], bounds[i + 1]):
-                acc += z_flat[j] * z_flat[j]
-            t = math.sqrt(acc) / sqrt_m[i]
-            if t < tau_floor:
-                t = tau_floor
-            tau[i] = t
-            threshold = alpha * t
-            deriv_sum = 0.0
-            step_sum = 0.0
-            base = i * n
-            for j in range(n):
-                x = rmv[base + j] + sigma[i, j]
-                mag = abs(x) - threshold
-                if mag > 0.0:
-                    value = mag if x > 0.0 else -mag
-                    deriv_sum += 1.0
-                else:
-                    value = 0.0
-                if damping > 0.0:
-                    value = (1.0 - damping) * value + damping * sigma[i, j]
-                d = value - sigma[i, j]
-                step_sum += d * d
-                sigma_new[i, j] = value
-            onsager[i] = nm_ratio[i] * (deriv_sum / n)
-            step[i] = math.sqrt(step_sum) / sqrt_n
-        return sigma_new, onsager, tau, step
-
-    @numba.njit(cache=True)
-    def residual(y_flat, mv, z_flat, onsager, bounds, damping):
-        z_new = np.empty_like(z_flat)
-        rows = onsager.shape[0]
-        for i in range(rows):
-            o = onsager[i]
-            for j in range(bounds[i], bounds[i + 1]):
-                value = y_flat[j] - mv[j] + o * z_flat[j]
-                if damping > 0.0:
-                    value = (1.0 - damping) * value + damping * z_flat[j]
-                z_new[j] = value
-        return z_new
-
     # -- in-seam CSR variants: the matvec fused into the phase loop ----
     #
     # Each trial's adjoint matvec scatters into one reusable (n,)
@@ -744,9 +630,6 @@ def _get_numba_functions() -> Dict[str, Callable]:
 
     _numba_functions = {
         "seg_sq_sums": seg_sq_sums,
-        "bayes-bernoulli": bayes_posterior,
-        "soft-threshold": soft_threshold_posterior,
-        "residual": residual,
         "csr-bayes-bernoulli": csr_bayes_posterior,
         "csr-soft-threshold": csr_soft_threshold_posterior,
         "csr-residual": csr_residual,
@@ -777,42 +660,6 @@ class NumbaKernel(AMPKernel):
             np.ascontiguousarray(arr).reshape(-1), layout.bounds
         )
 
-    def posterior_step(self, denoiser, rmv, sigma, z, layout, damping):
-        form = denoiser.kernel_form()
-        if form is None or form[0] not in self._functions:
-            return super().posterior_step(
-                denoiser, rmv, sigma, z, layout, damping
-            )
-        kind, params = form
-        # The float32 exp clip never loosens a float64 run: the kernel
-        # dtype decides, matching the NumPy denoiser's dtype rule.
-        exp_clip = Denoiser.exp_clip_for(self.dtype)
-        fused = self._functions[kind]
-        args = params + (float(exp_clip),) if kind == "bayes-bernoulli" else params
-        return fused(
-            np.ascontiguousarray(rmv),
-            np.ascontiguousarray(sigma),
-            np.ascontiguousarray(z).reshape(-1),
-            layout.bounds,
-            layout.per_row(layout.sqrt_m),
-            layout.per_row(layout.nm_ratio),
-            float(layout.sqrt_n),
-            *args,
-            float(TAU_FLOOR),
-            float(damping),
-        )
-
-    def residual_step(self, y, mv, z, onsager, layout, damping):
-        z_new = self._functions["residual"](
-            np.ascontiguousarray(y).reshape(-1),
-            np.ascontiguousarray(mv),
-            np.ascontiguousarray(z).reshape(-1),
-            np.ascontiguousarray(onsager),
-            layout.bounds,
-            float(damping),
-        )
-        return z_new.reshape(y.shape)
-
     def adjoint_posterior(self, op, denoiser, sigma, z, layout, damping):
         form = denoiser.kernel_form()
         fused_kind = None if form is None else "csr-" + form[0]
@@ -820,9 +667,8 @@ class NumbaKernel(AMPKernel):
             not isinstance(op, CSRStackOperator)
             or fused_kind not in self._functions
         ):
-            # Generic operators (and unregistered denoisers) run the
-            # scipy matvec plus the rmv-based fused posterior — the
-            # exact pre-in-seam behavior.
+            # Generic operators and unregistered denoisers run the
+            # NumPy reference phase.
             return super().adjoint_posterior(
                 op, denoiser, sigma, z, layout, damping
             )
@@ -1112,7 +958,6 @@ __all__ = [
     "KERNEL_ENV",
     "KERNELS",
     "StackLayout",
-    "MatvecOperator",
     "CSRStackOperator",
     "AMPKernel",
     "NumbaKernel",

@@ -553,6 +553,31 @@ class SessionStream:
         :meth:`repro.core.incremental.IncrementalDecoder.ingest_query`
         takes, so one wire payload can feed both consumers.
         """
+        self.extend([(agents, counts, result)])
+        return self.m_done - 1
+
+    def extend(self, rows) -> List[Tuple[np.ndarray, np.ndarray, float]]:
+        """Append ``(agents, counts, result)`` rows all or nothing.
+
+        Every row is checked before any is appended, so a bad row
+        raises ``ValueError`` / ``TypeError`` with the stream
+        unchanged. Returns the rows as appended (int64 arrays, a finite
+        float result).
+        """
+        checked = [self._checked_row(*row) for row in rows]
+        for agents, counts, result in checked:
+            self._indptr_parts.append(
+                np.array([self._edges + agents.size], dtype=np.int64)
+            )
+            self._edges += int(agents.size)
+            self._agents_parts.append(agents)
+            self._counts_parts.append(counts)
+            self._results_parts.append(np.array([result], dtype=np.float64))
+            self._consolidated = None
+            self.m_done += 1
+        return checked
+
+    def _checked_row(self, agents, counts, result):
         agents = np.ascontiguousarray(agents, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.int64)
         if agents.ndim != 1 or counts.ndim != 1 or agents.size != counts.size:
@@ -569,16 +594,10 @@ class SessionStream:
                 f"query incidences must sum to gamma={self.gamma}, "
                 f"got {int(counts.sum())}"
             )
-        self._indptr_parts.append(
-            np.array([self._edges + agents.size], dtype=np.int64)
-        )
-        self._edges += int(agents.size)
-        self._agents_parts.append(agents)
-        self._counts_parts.append(counts)
-        self._results_parts.append(np.array([result], dtype=np.float64))
-        self._consolidated = None
-        self.m_done += 1
-        return self.m_done - 1
+        result = float(result)
+        if not np.isfinite(result):
+            raise ValueError(f"query result must be finite, got {result}")
+        return agents, counts, result
 
     def _consolidate(self):
         if self._consolidated is None:

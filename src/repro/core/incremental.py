@@ -184,9 +184,15 @@ def required_queries(
     check_every: int = 1,
     truth: Optional[GroundTruth] = None,
     centering: str = "half_k",
-    engine: str = "per-query",
 ) -> RequiredQueriesResult:
     """Run the paper's required-number-of-queries procedure once.
+
+    This is the per-query reference loop: one query per step, checked
+    against the stopping rule after every ``check_every`` queries. The
+    sweeps run the chunked vectorized simulator
+    (:meth:`repro.core.batch.BatchTrialRunner.required_queries`),
+    which samples geometric-growth blocks but reports the same exact
+    stopping rule.
 
     Parameters
     ----------
@@ -203,13 +209,6 @@ def required_queries(
         of the reported ``required_m`` for speed).
     truth:
         Optional pre-sampled ground truth (else drawn from the model).
-    engine:
-        ``"per-query"`` (this module's reference loop, one query per
-        step; ``"legacy"`` is accepted as an alias, matching the
-        experiments layer) or ``"batch"`` (the chunked vectorized
-        simulator of :class:`~repro.core.batch.BatchTrialRunner`,
-        which samples geometric-growth blocks but reports the same
-        exact stopping rule).
 
     Returns
     -------
@@ -218,17 +217,6 @@ def required_queries(
     n = check_positive_int(n, "n")
     k = check_positive_int(k, "k")
     check_every = check_positive_int(check_every, "check_every")
-    if engine == "batch":
-        from repro.core.batch import BatchTrialRunner
-
-        runner = BatchTrialRunner(n, k, channel, gamma=gamma, centering=centering)
-        return runner.required_queries(
-            rng, max_m=max_m, check_every=check_every, truth=truth
-        )
-    if engine not in ("per-query", "legacy"):
-        raise ValueError(
-            f"unknown engine {engine!r}; valid: ('per-query', 'legacy', 'batch')"
-        )
     gen = normalize_rng(rng)
     if truth is None:
         truth = sample_ground_truth(n, k, gen)

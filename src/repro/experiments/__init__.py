@@ -47,7 +47,6 @@ from repro.experiments.worker import (
 )
 from repro.experiments.runner import (
     ALGORITHMS,
-    ENGINES,
     REQUIRED_QUERIES_ALGORITHMS,
     RequiredQueriesSample,
     SuccessCurve,
@@ -113,7 +112,6 @@ __all__ = [
     "start_local_workers",
     "ALGORITHMS",
     "REQUIRED_QUERIES_ALGORITHMS",
-    "ENGINES",
     "RequiredQueriesSample",
     "SuccessCurve",
     "required_queries_trials",

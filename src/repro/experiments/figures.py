@@ -128,7 +128,6 @@ def figure2(
     bound_p: float = 0.1,
     bound_eps: float = 0.05,
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -155,7 +154,6 @@ def figure2(
                     seed=seed,
                     check_every=check_every,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, f"p={p:g}", algorithms), n, k)
@@ -197,7 +195,6 @@ def figure3(
     include_bound: bool = True,
     bound_eps: float = 0.05,
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -222,7 +219,6 @@ def figure3(
                     seed=seed,
                     check_every=check_every,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, label, algorithms), n, k)
@@ -264,7 +260,6 @@ def figure4(
     bound_eps: float = 0.05,
     centering: str = "oracle",
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -298,7 +293,6 @@ def figure4(
                     check_every=check_every,
                     centering=centering,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, f"q={q:g}", algorithms), n, k)
@@ -341,7 +335,6 @@ def figure5(
     seed: RngLike = 2022,
     check_every: int = 1,
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -375,7 +368,6 @@ def figure5(
                     seed=seed,
                     check_every=check_every,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, label, algorithms), n, k)
@@ -426,7 +418,6 @@ def figure6(
     algorithms: Sequence[str] = ("greedy", "amp"),
     bound_p: float = 0.1,
     bound_eps: float = 0.1,
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -450,7 +441,6 @@ def figure6(
                 algorithm=algorithm,
                 trials=trials,
                 seed=seed,
-                engine=engine,
             )
             cells.append(f"{algorithm} p={p:g}")
     curves = plan.run(backend=backend, workers=workers)
@@ -501,7 +491,6 @@ def figure7(
     seed: RngLike = 2022,
     bound_p: float = 0.1,
     bound_eps: float = 0.1,
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -520,7 +509,6 @@ def figure7(
             algorithm="greedy",
             trials=trials,
             seed=seed,
-            engine=engine,
         )
         cells.append(f"p={p:g}")
     curves = plan.run(backend=backend, workers=workers)
@@ -574,7 +562,6 @@ def figure_design_ablation(
     seed: RngLike = 2022,
     gamma: Optional[int] = None,
     designs: Sequence[str] = ("replacement", "regular"),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -612,7 +599,6 @@ def figure_design_ablation(
                 trials=trials,
                 seed=seed,
                 gamma=gamma,
-                engine=engine,
                 design=design,
             )
             cells.append((design, n, k))

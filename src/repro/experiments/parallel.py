@@ -17,13 +17,13 @@ exploits it without changing a single seeded output:
    system per chunk instead of chunk-size serial runs), the stacked
    AMP required-m scan (:func:`repro.amp.batch_amp.
    required_queries_amp` — a chunk's trials share probe rounds), or
-   the legacy per-query loop inside a worker process, and the
-   per-trial outcomes are merged back in trial order.
+   the per-trial loop inside a worker process, and the per-trial
+   outcomes are merged back in trial order.
 
 Because a trial's result is a pure function of its own seed, the merged
 output is bit-identical to the serial run for any worker count — the
 seeded-equivalence tests in ``tests/test_parallel.py`` pin this for the
-greedy, AMP and distributed algorithms on both engines.
+greedy, AMP and distributed algorithms.
 
 As of PR 5 the scheduling itself lives in
 :mod:`repro.experiments.scheduler`: whole sweeps flatten into one
@@ -155,69 +155,38 @@ def _required_queries_chunk(
         # Corrupted cells (any algorithm) and the two-stage robust
         # decoder run the generic prefix-replay exact-decode scan.
         return _required_queries_scan_chunk(spec, seeds)
-    out: List[Tuple[bool, Optional[int]]] = []
     if spec.get("algorithm", "greedy") == "amp":
-        from repro.amp.batch_amp import (
-            required_queries_amp,
-            required_queries_amp_linear,
-        )
+        from repro.amp.batch_amp import required_queries_amp
 
-        if spec["engine"] == "batch":
-            runs = required_queries_amp(
-                spec["n"],
-                spec["k"],
-                spec["channel"],
-                list(seeds),
-                gamma=spec["gamma"],
-                max_m=spec["max_m"],
-                check_every=spec["check_every"],
-                verify=spec.get("verify", "full"),
-                kernel=spec.get("kernel"),
-            )
-        else:
-            runs = required_queries_amp_linear(
-                spec["n"],
-                spec["k"],
-                spec["channel"],
-                list(seeds),
-                gamma=spec["gamma"],
-                max_m=spec["max_m"],
-                check_every=spec["check_every"],
-                kernel=spec.get("kernel"),
-            )
-        return [(result.succeeded, result.required_m) for result in runs]
-    if spec["engine"] == "batch":
-        from repro.core.batch import BatchTrialRunner
-
-        runner = BatchTrialRunner(
+        runs = required_queries_amp(
             spec["n"],
             spec["k"],
             spec["channel"],
+            list(seeds),
             gamma=spec["gamma"],
-            centering=spec["centering"],
+            max_m=spec["max_m"],
+            check_every=spec["check_every"],
+            verify=spec.get("verify", "full"),
+            kernel=spec.get("kernel"),
         )
-        for seq in seeds:
-            result = runner.required_queries(
-                np.random.default_rng(seq),
-                max_m=spec["max_m"],
-                check_every=spec["check_every"],
-            )
-            out.append((result.succeeded, result.required_m))
-    else:
-        from repro.core.incremental import required_queries
+        return [(result.succeeded, result.required_m) for result in runs]
+    from repro.core.batch import BatchTrialRunner
 
-        for seq in seeds:
-            result = required_queries(
-                spec["n"],
-                spec["k"],
-                spec["channel"],
-                np.random.default_rng(seq),
-                max_m=spec["max_m"],
-                check_every=spec["check_every"],
-                gamma=spec["gamma"],
-                centering=spec["centering"],
-            )
-            out.append((result.succeeded, result.required_m))
+    runner = BatchTrialRunner(
+        spec["n"],
+        spec["k"],
+        spec["channel"],
+        gamma=spec["gamma"],
+        centering=spec["centering"],
+    )
+    out: List[Tuple[bool, Optional[int]]] = []
+    for seq in seeds:
+        result = runner.required_queries(
+            np.random.default_rng(seq),
+            max_m=spec["max_m"],
+            check_every=spec["check_every"],
+        )
+        out.append((result.succeeded, result.required_m))
     return out
 
 
@@ -276,9 +245,8 @@ def _required_queries_scan_chunk(
     corrupts it **once** with the trial's dedicated corruption
     generator — every probe then carves a prefix out of that single
     realization, so the outcome is a pure function of the child seed
-    (probe schedule, chunk layout and backend never show). Both
-    engines run this same linear scan (it has no stacked form), so
-    ``engine="batch"`` and ``"legacy"`` are identical by construction.
+    (probe schedule, chunk layout and backend never show). The scan
+    is linear: it has no stacked form.
     """
     from repro.core.batch import MeasurementStream
     from repro.core.corruption import apply_corruption, corruption_rng
@@ -344,9 +312,9 @@ def _fixed_m_chunk(
     Returns ``(exact, overlap)`` per trial, in chunk order. The heavy
     per-trial artifacts (score vectors, estimates) stay in the worker —
     only the curve statistics cross the process boundary. A chunk runs
-    whichever stacked engine path the scheduler selected
-    (``batch_mode``): stacked greedy trials, one batched AMP stack per
-    chunk, or the legacy per-trial loop. Each trial is a pure function
+    the path the scheduler recorded in ``spec["batch_mode"]``: stacked
+    greedy trials, one batched AMP stack per chunk, or (``None``) the
+    per-trial loop. Each trial is a pure function
     of its own seed in every mode, so the chunk layout never shows in
     the merged output.
     """
@@ -366,7 +334,6 @@ def _fixed_m_chunk(
         ]
     if spec["batch_mode"] == "amp":
         from repro.amp.batch_amp import run_amp_trials
-        from repro.experiments.runner import _amp_batch_kwargs
 
         return [
             (bool(r.exact), float(r.overlap))
@@ -377,7 +344,7 @@ def _fixed_m_chunk(
                 m,
                 list(seeds),
                 gamma=spec["gamma"],
-                **_amp_batch_kwargs(spec["algorithm_kwargs"]),
+                **spec["algorithm_kwargs"],
             )
         ]
     from repro.core.corruption import (
@@ -445,7 +412,6 @@ def _fixed_m_prepared_chunk(
     sampling simply happened on the driver instead of here.
     """
     from repro.amp.batch_amp import run_amp_prepared
-    from repro.experiments.runner import _amp_batch_kwargs
 
     return run_amp_prepared(
         spec["n"],
@@ -454,7 +420,7 @@ def _fixed_m_prepared_chunk(
         m,
         arrays,
         gamma=spec["gamma"],
-        **_amp_batch_kwargs(spec["algorithm_kwargs"]),
+        **spec["algorithm_kwargs"],
     )
 
 

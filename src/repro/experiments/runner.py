@@ -12,58 +12,55 @@ Each trial gets an independent child generator spawned from the root
 seed (see :mod:`repro.utils.rng`), so experiments are reproducible and
 embarrassingly parallel in structure.
 
-Both primitives default to the vectorized batch engine: graphs are
-sampled in one RNG call, the incremental procedure runs in
-geometric-growth blocks, and fixed-``m`` trials are scored/decoded as
-stacked computations. Pass ``engine="legacy"`` to force the original
-per-query/per-trial loops — every batch path is bit-for-bit
-seed-compatible with them, except the chunked incremental simulator,
-which is seed-compatible only for channels that draw no per-query
-noise (see ``tests/test_batch.py``).
+Both primitives run the vectorized batch paths: graphs are sampled in
+one RNG call, the incremental procedure runs in geometric-growth
+blocks, and fixed-``m`` trials are scored/decoded as stacked
+computations. Which path a cell takes follows only from what the cell
+is — there is no user-set switch.
 
-Algorithm × engine support
---------------------------
+Per-algorithm paths
+-------------------
 Fixed-``m`` trials (:func:`success_rate_curve`) and required-m trials
 (:func:`required_queries_trials`) dispatch per algorithm:
 
-==============  =======================================  ======================
-algorithm       ``engine="batch"``                       ``engine="legacy"``
-==============  =======================================  ======================
-``greedy``      fixed-m: stacked trials via              fixed-m: per-trial
-                :class:`~repro.core.batch.BatchTrialRunner`;  loop; required-m:
-                required-m: its chunked incremental      per-query
-                simulator                                :func:`~repro.core.
-                                                         incremental.required_queries`
-``amp``         fixed-m: block-diagonal batched AMP via  fixed-m: per-trial
-                :func:`repro.amp.batch_amp.run_amp_trials`;  :func:`~repro.amp.run_amp`;
-                required-m: prefix-replay galloping +    required-m: brute-force
-                stacked bisection scan                   per-grid-point linear
-                (:func:`repro.amp.batch_amp.             scan (:func:`repro.amp.
-                required_queries_amp`)                   batch_amp.required_queries_amp_linear`)
-``distributed``  fixed-m per-trial loop (no batch or     fixed-m per-trial loop
-                 required-m form); ``fault=`` injects
-                 seeded message drop/delay
-``distributed_amp``  fixed-m per-trial loop with the     fixed-m per-trial loop
-                 AMP communication bill in cell metrics
-``twostage``     fixed-m per-trial loop; required-m via  identical (the scan is
-                 the generic prefix-replay exact-decode  engine-independent)
-                 scan
-==============  =======================================  ======================
+===================  ============================  ==========================
+algorithm            fixed-m                       required-m
+===================  ============================  ==========================
+``greedy``           stacked trials                chunked incremental
+                     (``BatchTrialRunner``)        simulator
+``amp``              block-diagonal batched AMP    prefix-replay galloping +
+                     (``run_amp_trials``)          stacked bisection
+                                                   (``required_queries_amp``)
+``distributed``      per-trial loop; ``fault=``    none
+                     injects drop/delay
+``distributed_amp``  per-trial loop with the AMP   none
+                     communication bill
+``twostage``         per-trial loop                generic prefix-replay
+                                                   exact-decode scan
+===================  ============================  ==========================
 
-A ``corruption=`` model on either primitive forces the legacy
-per-trial loop (fixed-m) or the generic prefix-replay scan
-(required-m) — the stacked engines never see corrupted cells.
+The stacked fixed-m chunks (first two rows) cover the paper's
+with-replacement design and honest measurements only:
+:func:`_batch_mode` picks them for ``greedy`` with ``centering`` in
+``("half_k", "oracle")`` and for ``amp`` with any of ``denoiser``,
+``config`` and ``kernel``. Every other cell — ``centering="none"``, a
+non-default ``design=``, a ``corruption=`` model, the distributed and
+two-stage algorithms — runs the per-trial loop, which is
+seed-compatible with the stacked chunks, so results never depend on
+which path ran. Under a ``corruption=`` model required-m cells of any
+algorithm run the generic prefix-replay scan.
 
-The batch greedy path covers ``algorithm_kwargs`` of ``centering`` in
-``("half_k", "oracle")``; the batch AMP path covers ``denoiser``,
-``config`` and the default ``sparse=True``. Any other keyword falls
-back to the seed-compatible legacy per-trial loop, so results never
-depend on which path ran. Required-m runs exist for ``greedy`` (the
-paper's incremental separation stopping rule) and ``amp`` ("smallest
-checked m whose prefix decodes exactly" — both engines return identical
-stopping m's by construction; the scan merely probes sublinearly and
-stacks probes block-diagonally). The greedy-only ``centering`` knob is
-ignored by the AMP required-m path.
+Required-m runs exist for ``greedy`` (the paper's incremental
+separation stopping rule) and ``amp`` ("smallest checked m whose
+prefix decodes exactly"; the scan probes sublinearly and stacks probes
+block-diagonally, and with ``verify="full"`` returns the stopping m's
+of the brute-force per-grid-point reference
+:func:`repro.amp.batch_amp.required_queries_amp_linear`). The greedy
+chunked simulator is seed-compatible with the per-query reference
+loop :func:`repro.core.incremental.required_queries` only for channels
+that draw no per-query noise: noisy channels consume the RNG stream in
+a different order (see ``tests/test_batch.py``). The greedy-only
+``centering`` knob is ignored by the AMP required-m path.
 
 Sweep engine and trial sharding
 -------------------------------
@@ -74,7 +71,7 @@ order-preserving chunks, runs the chunks on a pluggable backend
 (``serial`` / ``process`` / ``socket``), and merges outcomes back in
 trial order with the serial accumulation code. Every trial is a pure
 function of its own child seed, so results are bit-identical for any
-backend, worker count, algorithm and engine.
+backend, worker count and algorithm.
 
 ``workers`` (default ``None``: the ``REPRO_WORKERS`` environment
 variable, else serial; ``0`` means one worker per CPU) sizes the
@@ -117,63 +114,29 @@ ALGORITHMS = ("greedy", "amp", "distributed", "distributed_amp", "twostage")
 #: :func:`repro.experiments.parallel._required_queries_scan_chunk`).
 REQUIRED_QUERIES_ALGORITHMS = ("greedy", "amp", "twostage")
 
-#: simulation engines: the vectorized batch engine vs the per-query loops
-ENGINES = ("batch", "legacy")
+def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
+    """Which stacked fixed-``m`` chunk covers this cell, if any.
 
-#: accepted aliases (the core layer calls the legacy loop "per-query")
-_ENGINE_ALIASES = {"per-query": "legacy"}
-
-
-def _batch_mode(algorithm: str, engine: str, algorithm_kwargs: dict) -> Optional[str]:
-    """Which stacked fixed-``m`` path covers this dispatch, if any.
-
-    Returns ``"greedy"`` / ``"amp"`` when the batch engine has a
-    seed-identical stacked implementation for the request, else
-    ``None`` (per-trial legacy loop). See the module docstring's
-    support matrix for the covered ``algorithm_kwargs``.
+    Returns ``"greedy"`` / ``"amp"`` when a seed-identical stacked
+    implementation covers the algorithm and its ``algorithm_kwargs``,
+    else ``None`` (the per-trial loop). The caller adds the design and
+    corruption checks; see the module docstring's path table.
     """
-    if engine != "batch":
-        return None
     if (
         algorithm == "greedy"
         and set(algorithm_kwargs) <= {"centering"}
         # the batch runner supports only these centerings; anything else
-        # (e.g. "none") falls back to the seed-compatible legacy loop
+        # (e.g. "none") runs the seed-compatible per-trial loop
         and algorithm_kwargs.get("centering", "half_k") in ("half_k", "oracle")
     ):
         return "greedy"
-    if (
-        algorithm == "amp"
-        and set(algorithm_kwargs) <= {"denoiser", "config", "sparse", "kernel"}
-        # the stacked runner is sparse by construction; a dense
-        # override runs through the per-trial loop
-        and algorithm_kwargs.get("sparse", True) in (True, None)
-    ):
+    if algorithm == "amp" and set(algorithm_kwargs) <= {
+        "denoiser",
+        "config",
+        "kernel",
+    }:
         return "amp"
     return None
-
-
-def _amp_batch_kwargs(algorithm_kwargs: dict) -> dict:
-    """Map harness ``algorithm_kwargs`` onto ``run_amp_trials`` kwargs."""
-    return {
-        key: value
-        for key, value in algorithm_kwargs.items()
-        if key in ("denoiser", "config", "kernel")
-    }
-
-
-def _check_engine(engine: str) -> str:
-    if engine in _ENGINE_ALIASES:
-        return _ENGINE_ALIASES[engine]
-    if engine not in ENGINES:
-        # List every canonical engine once, then any alias not already
-        # named — naive tuple concatenation would repeat an alias that
-        # is also canonical.
-        valid = ENGINES + tuple(
-            alias for alias in _ENGINE_ALIASES if alias not in ENGINES
-        )
-        raise ValueError(f"unknown engine {engine!r}; valid: {valid}")
-    return engine
 
 
 def _run_algorithm(
@@ -245,7 +208,6 @@ def required_queries_trials(
     centering: str = "half_k",
     algorithm: str = "greedy",
     verify: str = "full",
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -255,16 +217,16 @@ def required_queries_trials(
     """Run the required-m procedure ``trials`` times, collect required m.
 
     ``algorithm="greedy"`` (default) applies the paper's incremental
-    separation stopping rule — ``engine="batch"`` runs the chunked
-    vectorized simulator, ``engine="legacy"`` the original per-query
-    loop, both with the exact query-by-query semantics.
+    separation stopping rule through the chunked vectorized simulator
+    (exact query-by-query semantics).
     ``algorithm="amp"`` reports the smallest checked m whose
-    prefix-measured query stream decodes exactly under AMP —
-    ``engine="batch"`` runs the stacked galloping/bisection scan
-    (:func:`repro.amp.batch_amp.required_queries_amp`),
-    ``engine="legacy"`` the brute-force per-grid-point linear scan;
-    with the default ``verify="full"`` both return identical stopping
-    m's by construction (``verify="window"`` / ``"none"`` trade the
+    prefix-measured query stream decodes exactly under AMP, through
+    the stacked galloping/bisection scan
+    (:func:`repro.amp.batch_amp.required_queries_amp`); with the
+    default ``verify="full"`` it returns the stopping m's of the
+    brute-force per-grid-point reference
+    :func:`~repro.amp.batch_amp.required_queries_amp_linear` by
+    construction (``verify="window"`` / ``"none"`` trade the
     below-candidate certificate sweep for sweep-scale probe counts —
     see :class:`repro.amp.batch_amp._RequiredMSearch`). The
     greedy-only ``centering`` knob is ignored for AMP, and ``verify``
@@ -301,7 +263,6 @@ def required_queries_trials(
         centering=centering,
         algorithm=algorithm,
         verify=verify,
-        engine=engine,
         kernel=kernel,
         corruption=corruption,
     )
@@ -367,7 +328,6 @@ def success_rate_curve(
     seed: RngLike = 0,
     gamma: Optional[int] = None,
     algorithm_kwargs: Optional[dict] = None,
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     design: str = "replacement",
@@ -382,17 +342,14 @@ def success_rate_curve(
     drawn (fresh truth, graph and noise each time, matching the paper's
     "100 independent simulation runs" per data point).
 
-    With ``engine="batch"`` the greedy trials run through
-    :class:`~repro.core.batch.BatchTrialRunner` and the AMP trials
-    through the block-diagonal stacked runner
-    (:func:`repro.amp.batch_amp.run_amp_trials`) — both seed-identical
-    to the legacy per-trial loop, so both engines (and the distributed
-    runtime, which shares the loop) report identical curves for the
-    same seed. Algorithms without a batch implementation (distributed,
-    two-stage) always use the per-trial loop; see the module
-    docstring's support matrix. ``design`` selects the pooling design
-    (:data:`repro.experiments.scheduler.DESIGNS`; the non-default
-    designs run the per-trial loop).
+    Greedy trials run through :class:`~repro.core.batch.
+    BatchTrialRunner` and AMP trials through the block-diagonal
+    stacked runner (:func:`repro.amp.batch_amp.run_amp_trials`) —
+    both seed-identical to the per-trial loop that every other cell
+    runs (distributed, two-stage, ``centering="none"``, non-default
+    designs, corrupted cells); see the module docstring's path table.
+    ``design`` selects the pooling design
+    (:data:`repro.experiments.scheduler.DESIGNS`).
 
     The call is a thin one-cell :class:`~repro.experiments.scheduler.
     SweepPlan`: ``workers > 1`` (or an explicit ``backend``) shards
@@ -410,7 +367,7 @@ def success_rate_curve(
 
     ``corruption`` (a :class:`~repro.core.corruption.CorruptionModel`)
     corrupts every trial's measurements post-channel — any algorithm;
-    forces the legacy per-trial loop. ``fault`` (a
+    such cells run the per-trial loop. ``fault`` (a
     :class:`~repro.core.corruption.FaultSpec`) injects message
     drop/delay into the distributed protocol
     (``algorithm="distributed"`` only); per-trial
@@ -439,7 +396,6 @@ def success_rate_curve(
         seed=seed,
         gamma=gamma,
         algorithm_kwargs=algorithm_kwargs,
-        engine=engine,
         design=design,
         corruption=corruption,
         fault=fault,
@@ -520,7 +476,6 @@ def run_many(
 __all__ = [
     "ALGORITHMS",
     "REQUIRED_QUERIES_ALGORITHMS",
-    "ENGINES",
     "RequiredQueriesSample",
     "required_queries_trials",
     "fold_required_queries",

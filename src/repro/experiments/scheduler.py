@@ -32,7 +32,7 @@ contract of :mod:`repro.experiments.parallel` exactly:
 Because every trial is a pure function of its own pre-spawned child
 seed, the merged output of every backend is **bit-identical** to
 running each cell through the serial per-cell path — for any worker
-count, chunk layout, algorithm and engine (pinned in
+count, chunk layout and algorithm (pinned in
 ``tests/test_scheduler.py``).
 
 Backends
@@ -276,7 +276,6 @@ class SweepPlan:
         centering: str = "half_k",
         algorithm: str = "greedy",
         verify: str = "full",
-        engine: str = "batch",
         kernel: Optional[str] = None,
         corruption=None,
     ) -> int:
@@ -293,10 +292,7 @@ class SweepPlan:
         exact-decode scan (any algorithm; also the ``twostage`` path).
         """
         from repro.core.corruption import CorruptionModel
-        from repro.experiments.runner import (
-            REQUIRED_QUERIES_ALGORITHMS,
-            _check_engine,
-        )
+        from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 
         check_positive_int(trials, "trials")
         if algorithm not in REQUIRED_QUERIES_ALGORITHMS:
@@ -324,7 +320,6 @@ class SweepPlan:
             "centering": centering,
             "algorithm": algorithm,
             "verify": verify,
-            "engine": _check_engine(engine),
             "max_m": max_m,
             "check_every": check_every,
             "kernel": kernel,
@@ -352,9 +347,7 @@ class SweepPlan:
         seed: RngLike = 0,
         gamma: Optional[int] = None,
         algorithm_kwargs: Optional[dict] = None,
-        engine: str = "batch",
         design: str = "replacement",
-        batch_mode: str = "auto",
         corruption=None,
         fault=None,
     ) -> int:
@@ -363,17 +356,17 @@ class SweepPlan:
         Seed derivation matches the serial curve exactly: one child
         generator per grid point, then per-trial seeds spawned from it.
         ``design`` selects the pooling design (:data:`DESIGNS`); the
-        non-default designs run the seed-compatible legacy per-trial
-        loop, which is the one place that knows how to sample them.
-        ``batch_mode="auto"`` (default) lets
-        :func:`repro.experiments.runner._batch_mode` pick the stacked
-        chunk implementation; pass ``None`` / ``"greedy"`` / ``"amp"``
-        to force one (the PR 2 scheduler API).
+        non-default designs run the seed-compatible per-trial loop,
+        which is the one place that knows how to sample them. The
+        chunk path is recorded in the spec's ``"batch_mode"``:
+        :func:`repro.experiments.runner._batch_mode` picks the stacked
+        greedy or AMP chunk for with-replacement, uncorrupted cells,
+        and ``None`` (the per-trial loop) covers everything else.
 
         ``corruption`` (a :class:`~repro.core.corruption.
         CorruptionModel`) corrupts each trial's measurements
-        post-channel and forces the legacy per-trial loop (the stacked
-        engines never see corrupted cells); ``fault`` (a
+        post-channel and runs the per-trial loop (the stacked chunks
+        never see corrupted cells); ``fault`` (a
         :class:`~repro.core.corruption.FaultSpec`) injects seeded
         message drop/delay into the distributed protocol and is valid
         only for ``algorithm="distributed"``. Both draw from dedicated
@@ -381,11 +374,7 @@ class SweepPlan:
         bit-identical on every backend, worker count and chunk layout.
         """
         from repro.core.corruption import CorruptionModel, FaultSpec
-        from repro.experiments.runner import (
-            ALGORITHMS,
-            _batch_mode,
-            _check_engine,
-        )
+        from repro.experiments.runner import ALGORITHMS, _batch_mode
 
         check_positive_int(trials, "trials")
         if algorithm not in ALGORITHMS:
@@ -394,7 +383,6 @@ class SweepPlan:
             )
         if design not in DESIGNS:
             raise ValueError(f"unknown design {design!r}; valid: {DESIGNS}")
-        engine = _check_engine(engine)
         algorithm_kwargs = algorithm_kwargs or {}
         if corruption is not None and not isinstance(
             corruption, CorruptionModel
@@ -415,28 +403,14 @@ class SweepPlan:
                     f"{algorithm!r} has no network to perturb"
                 )
         corrupted = corruption is not None and not corruption.is_null
-        if batch_mode == "auto":
-            # The stacked chunk paths only know the paper's
-            # with-replacement design and honest measurements; other
-            # designs — and corrupted cells — fall back to the legacy
-            # per-trial loop, which handles both.
-            batch_mode = (
-                _batch_mode(algorithm, engine, algorithm_kwargs)
-                if design == "replacement" and not corrupted
-                else None
-            )
-        elif batch_mode is not None and design != "replacement":
-            raise ValueError(
-                f"batch_mode {batch_mode!r} runs the stacked "
-                "with-replacement samplers and cannot honor design "
-                f"{design!r}; use batch_mode='auto' or None"
-            )
-        elif batch_mode is not None and corrupted:
-            raise ValueError(
-                f"batch_mode {batch_mode!r} runs the stacked engines, "
-                "which do not apply corruption; use batch_mode='auto' "
-                "or None"
-            )
+        # The stacked chunk paths only know the paper's with-replacement
+        # design and honest measurements; other designs — and corrupted
+        # cells — run the per-trial loop, which handles both.
+        batch_mode = (
+            _batch_mode(algorithm, algorithm_kwargs)
+            if design == "replacement" and not corrupted
+            else None
+        )
         spec = {
             "n": n,
             "k": k,
@@ -530,7 +504,7 @@ def _prepared_arrays(cell, task) -> Optional[Dict[str, np.ndarray]]:
     * fixed-m AMP cells on the stacked path (``batch_mode == "amp"``)
       whose whole chunk fits one block-diagonal stack
       (:func:`repro.amp.batch_amp.sample_amp_cell_chunk`), and
-    * honest batch-engine required-m AMP cells
+    * honest required-m AMP cells
       (:func:`repro.amp.batch_amp.sample_required_stream_chunk`) —
       corrupted cells replay a corruption realization the generic scan
       owns, so they keep the seed path.
@@ -569,7 +543,6 @@ def _prepared_arrays(cell, task) -> Optional[Dict[str, np.ndarray]]:
     corruption = spec.get("corruption")
     if (
         spec.get("algorithm") != "amp"
-        or spec.get("engine") != "batch"
         or (corruption is not None and not corruption.is_null)
     ):
         return None

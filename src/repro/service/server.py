@@ -23,6 +23,8 @@ the service's own authenticated frame protocol.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 from typing import Callable, Optional, Tuple
 
 from repro.service import wire
@@ -282,7 +284,11 @@ class DecodeService:
                 f"unknown algorithm {algorithm!r}; valid: ('amp', 'greedy')"
             )
         m = request.get("m")
-        m = session.m if m is None else int(m)
+        if m is None:
+            m = session.m
+        elif isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise InvalidRequest(f"m must be an integer, got {m!r}")
+        m = int(m)
         if m < 1:
             raise InvalidRequest(
                 f"AMP decode requires at least one query, session has m={m}"
@@ -297,6 +303,15 @@ class DecodeService:
         budget = request.get("deadline", self.default_deadline)
         deadline = None
         if budget is not None:
+            if (
+                isinstance(budget, bool)
+                or not isinstance(budget, numbers.Real)
+                or not math.isfinite(budget)
+            ):
+                raise InvalidRequest(
+                    f"deadline must be a finite number of seconds, "
+                    f"got {budget!r}"
+                )
             budget = float(budget)
             if budget <= 0:
                 raise InvalidRequest(f"deadline must be > 0 s, got {budget}")

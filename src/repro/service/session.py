@@ -185,10 +185,13 @@ class Session:
 
         Idempotent by ``request_id``: a retransmitted request (client
         retry after a lost ack) is acknowledged from the applied map
-        without touching the stream.
+        without touching the stream. All or nothing: every query is
+        checked before any is applied, so a rejected request leaves
+        the session unchanged.
         """
         if request_id in self.applied:
             return self.applied[request_id]
+        rows = []
         for query in queries:
             try:
                 agents, counts, result = query
@@ -196,15 +199,13 @@ class Session:
                 raise InvalidRequest(
                     "each query must be (agents, counts, result)"
                 ) from None
-            try:
-                self.stream.append(agents, counts, float(result))
-            except (TypeError, ValueError) as exc:
-                raise InvalidRequest(str(exc)) from None
-            self.decoder.ingest_query(
-                np.asarray(agents, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-                float(result),
-            )
+            rows.append((agents, counts, result))
+        try:
+            rows = self.stream.extend(rows)
+        except (TypeError, ValueError) as exc:
+            raise InvalidRequest(str(exc)) from None
+        for agents, counts, result in rows:
+            self.decoder.ingest_query(agents, counts, result)
         self.applied[request_id] = self.stream.m_done
         return self.stream.m_done
 

@@ -18,6 +18,7 @@ from repro.amp.batch_amp import _stack_size, run_amp_trials
 from repro.experiments import parallel
 from repro.experiments.runner import success_rate_curve
 from repro.utils.rng import spawn_rngs, spawn_seeds
+from test_scheduler import reference_curve
 
 CHANNELS = [
     repro.NoiselessChannel(),
@@ -192,7 +193,7 @@ class TestRunAmpBatchValidation:
 
 
 class TestHarnessDispatch:
-    """success_rate_curve(algorithm="amp"): batch engine + sharding."""
+    """success_rate_curve(algorithm="amp"): stacked chunks + sharding."""
 
     @pytest.fixture(scope="class", autouse=True)
     def _shutdown_pool_after(self):
@@ -200,18 +201,20 @@ class TestHarnessDispatch:
         parallel.shutdown_pool()
 
     def test_batch_engine_matches_legacy_engine(self):
+        # The harness runs AMP cells as stacked chunks; the per-trial
+        # reference loop (one run_amp per child seed) must agree.
         kwargs = dict(algorithm="amp", trials=6, seed=5)
-        legacy = success_rate_curve(
-            200, 4, repro.ZChannel(0.1), [60, 120], engine="legacy", **kwargs
+        rates, overlaps = reference_curve(
+            200, 4, repro.ZChannel(0.1), [60, 120], **kwargs
         )
         batch = success_rate_curve(
-            200, 4, repro.ZChannel(0.1), [60, 120], engine="batch", **kwargs
+            200, 4, repro.ZChannel(0.1), [60, 120], **kwargs
         )
-        assert batch.success_rates == legacy.success_rates
-        assert batch.overlaps == legacy.overlaps
+        assert batch.success_rates == rates
+        assert batch.overlaps == overlaps
 
     def test_batch_engine_sharded_matches_serial(self):
-        kwargs = dict(algorithm="amp", trials=6, seed=7, engine="batch")
+        kwargs = dict(algorithm="amp", trials=6, seed=7)
         serial = success_rate_curve(
             150, 3, repro.NoiselessChannel(), [50, 90], **kwargs
         )
@@ -222,19 +225,20 @@ class TestHarnessDispatch:
         assert sharded.overlaps == serial.overlaps
 
     def test_unsupported_kwargs_fall_back_to_legacy_loop(self):
-        # A dense-path override has no stacked implementation; the
-        # harness must quietly run the (seed-compatible) per-trial loop.
-        kwargs = dict(
-            algorithm="amp",
-            trials=4,
-            seed=2,
-            algorithm_kwargs={"sparse": False},
+        # An AMP cell the stacked chunk cannot take (here a non-default
+        # design) quietly runs the seed-compatible per-trial loop,
+        # bit-identical to the reference loop.
+        kwargs = dict(algorithm="amp", trials=4, seed=2, design="regular")
+        rates, overlaps = reference_curve(
+            150, 3, repro.ZChannel(0.1), [70], **kwargs
         )
-        legacy = success_rate_curve(
-            150, 3, repro.ZChannel(0.1), [70], engine="legacy", **kwargs
-        )
-        batch = success_rate_curve(
-            150, 3, repro.ZChannel(0.1), [70], engine="batch", **kwargs
-        )
-        assert batch.success_rates == legacy.success_rates
-        assert batch.overlaps == legacy.overlaps
+        curve = success_rate_curve(150, 3, repro.ZChannel(0.1), [70], **kwargs)
+        assert curve.success_rates == rates
+        assert curve.overlaps == overlaps
+        # A keyword the stacked runner does not take is never dropped:
+        # the cell goes to the per-trial loop, where run_amp rejects it.
+        with pytest.raises(TypeError, match="sparse"):
+            success_rate_curve(
+                150, 3, repro.ZChannel(0.1), [70], algorithm="amp",
+                trials=2, seed=2, algorithm_kwargs={"sparse": False},
+            )

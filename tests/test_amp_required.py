@@ -320,8 +320,15 @@ class TestHarnessDispatch:
         parallel.shutdown_pool()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("engine", ["batch", "legacy"])
-    def test_workers_and_engines_bit_identical(self, engine, workers):
+    @pytest.mark.parametrize(
+        "reference",
+        [required_queries_amp, required_queries_amp_linear],
+        ids=["batch", "legacy"],
+    )
+    def test_workers_and_engines_bit_identical(self, reference, workers):
+        # The harness, for any worker count, against both scan
+        # implementations run directly on the same child seeds: the
+        # stacked scan the sweeps use and the brute-force linear scan.
         sample = required_queries_trials(
             150,
             3,
@@ -331,21 +338,14 @@ class TestHarnessDispatch:
             algorithm="amp",
             check_every=3,
             max_m=300,
-            engine=engine,
             workers=workers,
         )
-        baseline = required_queries_trials(
-            150,
-            3,
-            repro.ZChannel(0.1),
-            trials=5,
-            seed=7,
-            algorithm="amp",
-            check_every=3,
-            max_m=300,
+        runs = reference(
+            150, 3, repro.ZChannel(0.1), spawn_seeds(7, 5),
+            check_every=3, max_m=300,
         )
-        assert sample.values == baseline.values
-        assert sample.failures == baseline.failures
+        assert sample.values == [r.required_m for r in runs if r.succeeded]
+        assert sample.failures == sum(not r.succeeded for r in runs)
         assert sample.algorithm == "amp"
 
     @pytest.mark.parametrize("verify", ["window", "none"])

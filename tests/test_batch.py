@@ -26,7 +26,8 @@ from repro.core.incremental import IncrementalDecoder, required_queries
 from repro.core.measurement import measure
 from repro.core.pooling import sample_pooling_graph
 from repro.experiments.runner import required_queries_trials, success_rate_curve
-from repro.utils.rng import spawn_rngs
+from repro.utils.rng import spawn_rngs, spawn_seeds
+from test_scheduler import reference_curve
 
 
 class TestGraphEquivalence:
@@ -275,7 +276,7 @@ class TestRunTrialsEquivalence:
     def test_unsupported_centering_falls_back_to_legacy(self):
         # centering="none" is valid for the legacy greedy decoder but
         # not implemented by the batch runner; the curve must fall back
-        # instead of crashing under the default engine.
+        # to the per-trial loop instead of crashing.
         curve = success_rate_curve(
             60, 3, repro.ZChannel(0.1), [20], trials=5, seed=2,
             algorithm_kwargs={"centering": "none"},
@@ -283,15 +284,17 @@ class TestRunTrialsEquivalence:
         assert 0.0 <= curve.success_rates[0] <= 1.0
 
     def test_success_rate_curve_engines_agree(self):
+        # The harness's stacked greedy chunks against the per-trial
+        # reference loop.
         kwargs = dict(trials=10, seed=6)
         batch = success_rate_curve(
-            100, 3, repro.ZChannel(0.1), [20, 60], engine="batch", **kwargs
+            100, 3, repro.ZChannel(0.1), [20, 60], **kwargs
         )
-        legacy = success_rate_curve(
-            100, 3, repro.ZChannel(0.1), [20, 60], engine="legacy", **kwargs
+        rates, overlaps = reference_curve(
+            100, 3, repro.ZChannel(0.1), [20, 60], **kwargs
         )
-        assert batch.success_rates == legacy.success_rates
-        assert batch.overlaps == legacy.overlaps
+        assert batch.success_rates == rates
+        assert batch.overlaps == overlaps
 
 
 class TestChunkedRequiredQueries:
@@ -301,9 +304,8 @@ class TestChunkedRequiredQueries:
         # identical RNG stream and must report the identical stopping m.
         seq = lambda: np.random.SeedSequence(seed)  # noqa: E731
         a = required_queries(200, 5, repro.NoiselessChannel(), rng=seq())
-        b = required_queries(
-            200, 5, repro.NoiselessChannel(), rng=seq(), engine="batch"
-        )
+        runner = BatchTrialRunner(200, 5, repro.NoiselessChannel())
+        b = runner.required_queries(seq())
         assert a.succeeded and b.succeeded
         assert a.required_m == b.required_m
         assert a.checks == b.checks
@@ -314,10 +316,9 @@ class TestChunkedRequiredQueries:
                 200, 5, repro.NoiselessChannel(),
                 rng=np.random.SeedSequence(3), check_every=ce,
             )
-            b = required_queries(
-                200, 5, repro.NoiselessChannel(),
-                rng=np.random.SeedSequence(3), check_every=ce, engine="batch",
-            )
+            b = BatchTrialRunner(
+                200, 5, repro.NoiselessChannel()
+            ).required_queries(np.random.SeedSequence(3), check_every=ce)
             assert a.required_m == b.required_m
             assert a.required_m % ce == 0
             assert a.checks == b.checks
@@ -352,10 +353,6 @@ class TestChunkedRequiredQueries:
         res = runner.required_queries(rng, truth=truth)
         assert res.succeeded
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            required_queries(100, 3, rng=0, engine="warp")
-
     def test_trials_helper_runs_all(self):
         runner = BatchTrialRunner(100, 3, repro.ZChannel(0.1))
         out = runner.required_queries_trials(4, seed=0)
@@ -363,13 +360,19 @@ class TestChunkedRequiredQueries:
         assert all(r.succeeded for r in out)
 
     def test_runner_trials_engines_agree_noiseless(self):
+        # The harness's chunked simulator against the per-query
+        # reference loop, on the same child seeds.
         a = required_queries_trials(
-            150, 4, repro.NoiselessChannel(), trials=5, seed=1, engine="batch"
+            150, 4, repro.NoiselessChannel(), trials=5, seed=1
         )
-        b = required_queries_trials(
-            150, 4, repro.NoiselessChannel(), trials=5, seed=1, engine="legacy"
-        )
-        assert a.values == b.values
+        b = [
+            required_queries(
+                150, 4, repro.NoiselessChannel(), np.random.default_rng(s)
+            ).required_m
+            for s in spawn_seeds(1, 5)
+        ]
+        assert a.failures == 0
+        assert a.values == b
 
 
 class TestFirstSuccessM:

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -13,6 +16,13 @@ class TestParser:
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+
+    def test_no_engine_flag(self):
+        # The simulation path follows from the cell; there is no switch.
+        for argv in (["fig2", "--engine", "legacy"],
+                     ["required-queries", "--engine", "legacy"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_accepts_options(self):
         args = build_parser().parse_args(
@@ -255,15 +265,24 @@ class TestMain:
         assert load_required_queries_sample(saved).algorithm == "amp"
 
     def test_required_queries_engines_agree(self, capsys):
-        common = ["required-queries", "--algorithm", "amp", "--n", "100",
-                  "--k", "3", "--channel", "z", "--p", "0.1", "--trials",
-                  "2", "--check-every", "4", "--max-m", "200"]
-        assert main(common + ["--engine", "batch"]) == 0
-        out_batch = capsys.readouterr().out
-        assert main(common + ["--engine", "legacy"]) == 0
-        out_legacy = capsys.readouterr().out
-        # identical stopping m's, identical report
-        assert out_batch.split("completed")[0] == out_legacy.split("completed")[0]
+        # The CLI's stacked AMP scan reports the stopping m's of the
+        # brute-force linear reference scan on the same child seeds.
+        from repro.amp.batch_amp import required_queries_amp_linear
+        from repro.utils.rng import spawn_seeds
+
+        assert main(["required-queries", "--algorithm", "amp", "--n", "100",
+                     "--k", "3", "--channel", "z", "--p", "0.1", "--trials",
+                     "2", "--check-every", "4", "--max-m", "200",
+                     "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        runs = required_queries_amp_linear(
+            100, 3, repro.ZChannel(0.1), spawn_seeds(7, 2),
+            check_every=4, max_m=200,
+        )
+        values = [r.required_m for r in runs if r.succeeded]
+        failures = sum(not r.succeeded for r in runs)
+        assert re.search(rf"^values +{re.escape(str(values))}$", out, re.M)
+        assert re.search(rf"^failures +{failures}$", out, re.M)
 
     def test_threshold_tiny(self, capsys):
         rc = main(["threshold", "--n", "100", "--k", "3", "--channel",

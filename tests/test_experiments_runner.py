@@ -1,45 +1,15 @@
 """Tests for the experiment trial runner."""
 
-import re
-
 import numpy as np
 import pytest
 
 import repro
 from repro.experiments.runner import (
-    ENGINES,
     RequiredQueriesSample,
-    _check_engine,
     required_queries_trials,
     run_many,
     success_rate_curve,
 )
-
-
-class TestCheckEngine:
-    def test_alias_maps_to_legacy(self):
-        assert _check_engine("per-query") == "legacy"
-
-    def test_canonical_engines_pass_through(self):
-        for engine in ENGINES:
-            assert _check_engine(engine) == engine
-
-    def test_error_lists_every_engine_exactly_once(self):
-        with pytest.raises(ValueError) as err:
-            _check_engine("warp")
-        message = str(err.value)
-        for name in (*ENGINES, "per-query"):
-            assert len(re.findall(f"'{name}'", message)) == 1
-
-    def test_unknown_engine_rejected_by_entry_points(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            required_queries_trials(
-                100, 3, repro.ZChannel(0.1), trials=1, engine="warp"
-            )
-        with pytest.raises(ValueError, match="unknown engine"):
-            success_rate_curve(
-                100, 3, repro.ZChannel(0.1), [10], trials=1, engine="warp"
-            )
 
 
 class TestWorkersValidation:

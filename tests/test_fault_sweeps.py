@@ -132,13 +132,15 @@ class TestSchedulerValidation:
                 fault=FaultSpec(drop=0.2),
             )
 
-    def test_corruption_rejects_explicit_batch_mode(self):
+    def test_corruption_runs_the_per_trial_loop(self):
+        # The stacked chunks never see corrupted cells, even for an
+        # algorithm they would otherwise take.
         plan = SweepPlan()
-        with pytest.raises(ValueError, match="batch"):
-            plan.add_success_curve(
-                50, 3, repro.ZChannel(0.1), [30], batch_mode="greedy",
-                corruption=CorruptionModel(flip_rate=0.1),
-            )
+        plan.add_success_curve(
+            50, 3, repro.ZChannel(0.1), [30], algorithm="greedy",
+            corruption=CorruptionModel(flip_rate=0.1),
+        )
+        assert plan._cells[0].spec["batch_mode"] is None
 
 
 class TestFoldedMeta:
@@ -187,18 +189,45 @@ class TestTwoStageRequiredQueries:
     def test_twostage_is_a_required_queries_algorithm(self):
         assert "twostage" in REQUIRED_QUERIES_ALGORITHMS
 
-    def test_engines_agree(self):
-        kwargs = dict(trials=3, seed=5, check_every=10, max_m=200)
-        batch = required_queries_trials(
-            80, 3, repro.ZChannel(0.1), algorithm="twostage",
-            engine="batch", **kwargs,
+    def test_matches_prefix_replay_reference(self):
+        # Reference: replay each trial's query stream and decode every
+        # grid prefix with the two-stage decoder until the first exact
+        # one.
+        from repro.core.batch import MeasurementStream
+        from repro.core.measurement import Measurements
+        from repro.core.pooling import PoolingGraph, default_gamma
+        from repro.core.twostage import two_stage_reconstruct
+        from repro.utils.rng import spawn_seeds
+
+        n, k, channel = 80, 3, repro.ZChannel(0.1)
+        sample = required_queries_trials(
+            n, k, channel, algorithm="twostage", trials=3, seed=5,
+            check_every=10, max_m=200,
         )
-        legacy = required_queries_trials(
-            80, 3, repro.ZChannel(0.1), algorithm="twostage",
-            engine="legacy", **kwargs,
-        )
-        assert batch.values == legacy.values
-        assert batch.algorithm == "twostage"
+        values = []
+        for seq in spawn_seeds(5, 3):
+            gen = np.random.default_rng(seq)
+            truth = repro.sample_ground_truth(n, k, gen)
+            stream = MeasurementStream(
+                n, default_gamma(n), channel, truth, gen, max_m=200,
+                retain=True,
+            )
+            for m in range(10, 201, 10):
+                stream.grow_to(m)
+                indptr, agents, counts, results = stream.prefix(m)
+                graph = PoolingGraph._unchecked(
+                    n, stream.gamma, indptr, agents, counts
+                )
+                meas = Measurements(
+                    graph=graph, truth=truth, channel=channel,
+                    results=results,
+                )
+                if two_stage_reconstruct(meas).exact:
+                    values.append(m)
+                    break
+        assert sample.values == values
+        assert sample.failures == 3 - len(values)
+        assert sample.algorithm == "twostage"
 
     def test_values_sit_on_the_check_grid(self):
         sample = required_queries_trials(

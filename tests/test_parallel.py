@@ -3,7 +3,7 @@
 The contract under test: sharding trials across worker processes
 (``workers > 1``) returns *bit-identical* results to the serial path —
 same ``RequiredQueriesSample`` values, same success-rate/overlap
-arrays — for every algorithm and engine, because the scheduler spawns
+arrays — for every algorithm and chunk path, because the scheduler spawns
 the same per-trial child seeds, chunks them order-preservingly, and
 merges outcomes in trial order.
 """
@@ -143,19 +143,12 @@ class TestStartMethod:
 
 
 class TestRequiredQueriesEquivalence:
-    @pytest.mark.parametrize("engine", ["batch", "legacy"])
-    def test_sharded_matches_serial(self, engine):
+    def test_sharded_matches_serial(self):
         serial = required_queries_trials(
-            150, 4, repro.ZChannel(0.1), trials=7, seed=11, engine=engine
+            150, 4, repro.ZChannel(0.1), trials=7, seed=11
         )
         sharded = required_queries_trials(
-            150,
-            4,
-            repro.ZChannel(0.1),
-            trials=7,
-            seed=11,
-            engine=engine,
-            workers=2,
+            150, 4, repro.ZChannel(0.1), trials=7, seed=11, workers=2
         )
         assert sharded.values == serial.values
         assert sharded.failures == serial.failures
@@ -180,9 +173,14 @@ class TestRequiredQueriesEquivalence:
 
 
 class TestSuccessCurveEquivalence:
-    @pytest.mark.parametrize("engine", ["batch", "legacy"])
-    def test_greedy_sharded_matches_serial(self, engine):
-        kwargs = dict(trials=8, seed=4, engine=engine)
+    # Stacked greedy chunks, and the per-trial loop (centering="none"
+    # has no stacked form).
+    @pytest.mark.parametrize(
+        "algorithm_kwargs", [{}, {"centering": "none"}],
+        ids=["stacked", "loop"],
+    )
+    def test_greedy_sharded_matches_serial(self, algorithm_kwargs):
+        kwargs = dict(trials=8, seed=4, algorithm_kwargs=algorithm_kwargs)
         serial = success_rate_curve(
             200, 4, repro.ZChannel(0.2), [30, 120], **kwargs
         )
@@ -192,12 +190,14 @@ class TestSuccessCurveEquivalence:
         assert sharded.success_rates == serial.success_rates
         assert sharded.overlaps == serial.overlaps
 
-    @pytest.mark.parametrize("engine", ["batch", "legacy"])
-    def test_amp_sharded_matches_serial(self, engine):
-        # engine="batch" routes chunks through the block-diagonal
-        # stacked AMP runner; engine="legacy" through per-trial
-        # run_amp. Both must merge bit-identically to serial.
-        kwargs = dict(algorithm="amp", trials=5, seed=5, engine=engine)
+    @pytest.mark.parametrize(
+        "design", ["replacement", "regular"], ids=["stacked", "loop"]
+    )
+    def test_amp_sharded_matches_serial(self, design):
+        # The with-replacement design routes chunks through the
+        # block-diagonal stacked AMP runner; the regular design through
+        # per-trial run_amp. Both must merge bit-identically to serial.
+        kwargs = dict(algorithm="amp", trials=5, seed=5, design=design)
         serial = success_rate_curve(
             120, 3, repro.NoiselessChannel(), [60], **kwargs
         )

@@ -1,15 +1,15 @@
 """Bit-identity tests for the sweep execution engine.
 
 The contract under test: a multi-cell :class:`SweepPlan` — mixed
-algorithms (greedy / amp), mixed engines (batch / legacy), mixed n,
-required-m and success-curve cells in one queue — returns results
-identical to running each cell through the pre-engine per-cell serial
-path on the same seeds, for every backend (``serial`` / ``process`` /
-``socket``) and several worker counts. The per-cell references below
-deliberately reimplement the old serial loops (BatchTrialRunner /
-required_queries / required_queries_amp / run_amp_trials on freshly
-spawned child seeds) so the engine is checked against the original
-code shape, not against itself.
+algorithms (greedy / amp), mixed n, required-m and success-curve cells
+in one queue — returns results identical to running each cell through
+the pre-engine per-cell serial path on the same seeds, for every
+backend (``serial`` / ``process`` / ``socket``) and several worker
+counts. The per-cell references below deliberately reimplement the
+old serial loops (BatchTrialRunner / required_queries /
+required_queries_amp / required_queries_amp_linear / run_amp_trials /
+the per-trial loop on freshly spawned child seeds) so the engine is
+checked against the original code shape, not against itself.
 """
 
 import os
@@ -24,6 +24,7 @@ from repro.amp.batch_amp import (
     run_amp_trials,
 )
 from repro.core.batch import BatchTrialRunner
+from repro.core.corruption import CorruptionModel
 from repro.core.incremental import required_queries
 from repro.experiments import parallel
 from repro.experiments.scheduler import (
@@ -57,11 +58,18 @@ def socket_hosts():
 
 
 def reference_required(n, k, channel, *, trials, seed, algorithm="greedy",
-                       engine="batch", check_every=1, max_m=None):
-    """The pre-engine serial required-m loop, folded to (values, failures)."""
+                       reference="stacked", check_every=1, max_m=None):
+    """The pre-engine serial required-m loop, folded to (values, failures).
+
+    ``reference="stacked"`` replays the scan the sweeps run (the chunked
+    greedy simulator / the stacked AMP scan); ``"loop"`` the per-query
+    greedy loop or the brute-force linear AMP scan. The greedy per-query
+    loop matches the chunked simulator only on channels without
+    per-query noise draws.
+    """
     if algorithm == "amp":
         scan = (
-            required_queries_amp if engine == "batch"
+            required_queries_amp if reference == "stacked"
             else required_queries_amp_linear
         )
         runs = scan(
@@ -69,7 +77,7 @@ def reference_required(n, k, channel, *, trials, seed, algorithm="greedy",
             check_every=check_every, max_m=max_m,
         )
         outcomes = [(r.succeeded, r.required_m) for r in runs]
-    elif engine == "batch":
+    elif reference == "stacked":
         runner = BatchTrialRunner(n, k, channel)
         outcomes = [
             (r.succeeded, r.required_m)
@@ -93,32 +101,57 @@ def reference_required(n, k, channel, *, trials, seed, algorithm="greedy",
 
 
 def reference_curve(n, k, channel, m_values, *, trials, seed,
-                    algorithm="greedy", engine="batch"):
-    """The pre-engine serial success-curve loop -> (rates, overlaps)."""
+                    algorithm="greedy", reference="loop",
+                    algorithm_kwargs=None, design="replacement",
+                    corruption=None):
+    """The pre-engine serial success-curve loop -> (rates, overlaps).
+
+    ``reference="loop"`` (default) is the per-trial loop: sample truth,
+    the design's graph and the channel from each trial's child seed,
+    corrupt the measurements from the seed's dedicated corruption
+    stream, and decode. ``"stacked"`` replays the stacked greedy / AMP
+    runners directly (with-replacement, honest cells only).
+    """
+    from repro.core.corruption import apply_corruption, corruption_rng
     from repro.core.ground_truth import sample_ground_truth
     from repro.core.measurement import measure
-    from repro.core.pooling import sample_pooling_graph
+    from repro.core.pooling import (
+        default_gamma,
+        sample_pooling_graph,
+        sample_regular_design,
+    )
     from repro.experiments.runner import _run_algorithm
 
+    algorithm_kwargs = algorithm_kwargs or {}
     rates, overlaps = [], []
     for m, m_rng in zip(m_values, spawn_rngs(seed, len(m_values))):
         m = int(m)
         outcomes = []
-        if algorithm == "greedy" and engine == "batch":
-            runner = BatchTrialRunner(n, k, channel)
+        if reference == "stacked" and algorithm == "greedy":
+            runner = BatchTrialRunner(n, k, channel, **algorithm_kwargs)
             for r in runner.run_trials(m, trials, seed=m_rng):
                 outcomes.append((bool(r.exact), float(r.overlap)))
-        elif algorithm == "amp" and engine == "batch":
+        elif reference == "stacked" and algorithm == "amp":
             for r in run_amp_trials(
-                n, k, channel, m, spawn_rngs(m_rng, trials)
+                n, k, channel, m, spawn_rngs(m_rng, trials),
+                **algorithm_kwargs,
             ):
                 outcomes.append((bool(r.exact), float(r.overlap)))
         else:
-            for gen in spawn_rngs(m_rng, trials):
+            for seq in spawn_seeds(m_rng, trials):
+                gen = np.random.default_rng(seq)
                 truth = sample_ground_truth(n, k, gen)
-                graph = sample_pooling_graph(n, m, None, gen)
+                if design == "regular":
+                    degree = min(max(1, round(m * default_gamma(n) / n)), m)
+                    graph = sample_regular_design(n, m, degree, gen)
+                else:
+                    graph = sample_pooling_graph(n, m, None, gen)
                 meas = measure(graph, truth, channel, gen)
-                result = _run_algorithm(algorithm, meas)
+                if corruption is not None:
+                    meas = apply_corruption(
+                        meas, corruption, corruption_rng(seq)
+                    ).measurements
+                result = _run_algorithm(algorithm, meas, **algorithm_kwargs)
                 outcomes.append((bool(result.exact), float(result.overlap)))
         rates.append(sum(e for e, _ in outcomes) / trials)
         overlaps.append(sum(o for _, o in outcomes) / trials)
@@ -126,24 +159,27 @@ def reference_curve(n, k, channel, m_values, *, trials, seed,
 
 
 #: the mixed sweep every backend must reproduce bit-identically:
-#: (kind, kwargs) — mixed algorithms, engines, n, and cell kinds
+#: (kind, kwargs) — mixed algorithms, n, cell kinds, and the reference
+#: each cell is checked against (``reference`` never reaches the plan)
 MIXED_CELLS = [
     ("required", dict(n=150, k=4, channel=repro.ZChannel(0.1),
-                      trials=7, seed=11, algorithm="greedy", engine="batch")),
-    ("required", dict(n=100, k=3, channel=repro.ZChannel(0.1),
-                      trials=4, seed=5, algorithm="greedy", engine="legacy")),
+                      trials=7, seed=11, algorithm="greedy",
+                      reference="stacked")),
+    ("required", dict(n=100, k=3, channel=repro.NoiselessChannel(),
+                      trials=4, seed=5, algorithm="greedy",
+                      reference="loop")),
     ("required", dict(n=120, k=3, channel=repro.NoiselessChannel(),
-                      trials=3, seed=2, algorithm="amp", engine="batch",
+                      trials=3, seed=2, algorithm="amp", reference="stacked",
                       check_every=4, max_m=400)),
     ("required", dict(n=90, k=3, channel=repro.NoiselessChannel(),
-                      trials=2, seed=9, algorithm="amp", engine="legacy",
+                      trials=2, seed=9, algorithm="amp", reference="loop",
                       check_every=8, max_m=300)),
     ("curve", dict(n=150, k=4, channel=repro.ZChannel(0.2),
                    m_values=[30, 90], trials=6, seed=4,
-                   algorithm="greedy", engine="batch")),
+                   algorithm="greedy", reference="stacked")),
     ("curve", dict(n=120, k=3, channel=repro.NoiselessChannel(),
                    m_values=[60], trials=4, seed=5,
-                   algorithm="amp", engine="legacy")),
+                   algorithm="amp", reference="loop")),
 ]
 
 
@@ -154,7 +190,7 @@ def build_mixed_plan():
             plan.add_required_queries(
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 trials=kwargs["trials"], seed=kwargs["seed"],
-                algorithm=kwargs["algorithm"], engine=kwargs["engine"],
+                algorithm=kwargs["algorithm"],
                 check_every=kwargs.get("check_every", 1),
                 max_m=kwargs.get("max_m"),
             )
@@ -163,7 +199,6 @@ def build_mixed_plan():
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 kwargs["m_values"], trials=kwargs["trials"],
                 seed=kwargs["seed"], algorithm=kwargs["algorithm"],
-                engine=kwargs["engine"],
             )
     return plan
 
@@ -175,7 +210,8 @@ def assert_matches_references(results):
             values, failures = reference_required(
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 trials=kwargs["trials"], seed=kwargs["seed"],
-                algorithm=kwargs["algorithm"], engine=kwargs["engine"],
+                algorithm=kwargs["algorithm"],
+                reference=kwargs["reference"],
                 check_every=kwargs.get("check_every", 1),
                 max_m=kwargs.get("max_m"),
             )
@@ -187,7 +223,7 @@ def assert_matches_references(results):
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 kwargs["m_values"], trials=kwargs["trials"],
                 seed=kwargs["seed"], algorithm=kwargs["algorithm"],
-                engine=kwargs["engine"],
+                reference=kwargs["reference"],
             )
             assert result.success_rates == rates, kwargs
             assert result.overlaps == overlaps, kwargs
@@ -339,38 +375,65 @@ class TestPlanValidation:
                 100, 3, repro.ZChannel(0.1), [10], algorithm="warp"
             )
 
-    def test_bad_engine_and_design_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            SweepPlan().add_required_queries(
-                100, 3, repro.ZChannel(0.1), engine="warp"
-            )
+    def test_bad_design_rejected(self):
         with pytest.raises(ValueError, match="design"):
             SweepPlan().add_success_curve(
                 100, 3, repro.ZChannel(0.1), [10], design="fancy"
             )
-
-    def test_forced_batch_mode_incompatible_with_design(self):
-        # The stacked chunk paths sample the with-replacement design
-        # only; forcing one under another design must fail loudly
-        # instead of silently mislabeling the ablation data.
-        with pytest.raises(ValueError, match="batch_mode"):
-            SweepPlan().add_success_curve(
-                100, 3, repro.ZChannel(0.1), [10],
-                design="regular", batch_mode="greedy",
-            )
-        # the legacy per-trial loop does honor every design
-        plan = SweepPlan()
-        plan.add_success_curve(
-            100, 3, repro.ZChannel(0.1), [10],
-            design="regular", batch_mode=None, trials=2,
-        )
-        assert plan.run(backend="serial")[0].trials == 2
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
             SweepPlan().add_required_queries(
                 100, 3, repro.ZChannel(0.1), trials=0
             )
+
+
+#: every way a fixed-m cell's chunk path gets chosen: ``_batch_mode``
+#: on the algorithm and its kwargs, then the design and corruption
+#: checks. (case id, add_success_curve kwargs, expected spec
+#: "batch_mode" — None is the per-trial loop)
+PATH_CASES = [
+    ("stacked-greedy", dict(algorithm="greedy"), "greedy"),
+    ("stacked-amp", dict(algorithm="amp"), "amp"),
+    ("greedy-centering-none",
+     dict(algorithm="greedy", algorithm_kwargs={"centering": "none"}), None),
+    ("design-regular", dict(algorithm="greedy", design="regular"), None),
+    ("corrupted",
+     dict(algorithm="amp", corruption=CorruptionModel(flip_rate=0.1)), None),
+]
+PATH_CELL = dict(n=120, k=3, channel=repro.ZChannel(0.1), m_values=[40, 80],
+                 trials=4, seed=13)
+
+
+@pytest.fixture(scope="module")
+def path_sweep():
+    """One plan holding every PATH_CASES cell, run once on serial."""
+    plan = SweepPlan()
+    for _, kwargs, _ in PATH_CASES:
+        plan.add_success_curve(
+            PATH_CELL["n"], PATH_CELL["k"], PATH_CELL["channel"],
+            PATH_CELL["m_values"], trials=PATH_CELL["trials"],
+            seed=PATH_CELL["seed"], **kwargs,
+        )
+    return plan, plan.run(backend="serial")
+
+
+class TestPathSelection:
+    @pytest.mark.parametrize(
+        "index", range(len(PATH_CASES)), ids=[c[0] for c in PATH_CASES]
+    )
+    def test_path_and_bit_identity_with_per_trial_loop(self, path_sweep,
+                                                       index):
+        plan, results = path_sweep
+        _, kwargs, expected = PATH_CASES[index]
+        assert plan._cells[index].spec["batch_mode"] == expected
+        rates, overlaps = reference_curve(
+            PATH_CELL["n"], PATH_CELL["k"], PATH_CELL["channel"],
+            PATH_CELL["m_values"], trials=PATH_CELL["trials"],
+            seed=PATH_CELL["seed"], **kwargs,
+        )
+        assert results[index].success_rates == rates
+        assert results[index].overlaps == overlaps
 
 
 class TestSearchThroughEngine:

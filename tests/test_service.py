@@ -502,6 +502,50 @@ class TestEndToEnd:
             assert not first["replayed"] and replay["replayed"]
             assert client.status("e2e-idem")["m"] == 15
 
+    @pytest.mark.parametrize(
+        "kind", ["agent-out-of-range", "non-finite-result"]
+    )
+    def test_rejected_ingest_leaves_session_unchanged(self, server, kind):
+        # A 3-query ingest whose last query is invalid must apply
+        # nothing: the session keeps its old m, and its AMP decode is
+        # bit-identical to a session that never saw the request.
+        n, k, channel = 60, 3, repro.ZChannel(0.1)
+        gamma = repro.default_gamma(n)
+        bad = {
+            "agent-out-of-range": ([0, 99], [1, gamma - 1], 1.0),
+            "non-finite-result": ([0], [gamma], float("nan")),
+        }[kind]
+        sid = f"e2e-atomic-{kind}"
+        with ServiceClient(server.host, server.port) as client:
+            truth, queries = open_and_fill(client, sid, n, k, channel, 25, 20)
+            open_and_fill(client, sid + "-ref", n, k, channel, 25, 20)
+            with pytest.raises(InvalidRequest):
+                client.ingest(sid, queries[:2] + [bad])
+            assert client.status(sid)["m"] == 20
+            got = client.decode(sid, return_scores=True)
+            ref = client.decode(sid + "-ref", return_scores=True)
+            assert np.array_equal(
+                np.asarray(got["scores"]), np.asarray(ref["scores"])
+            )
+            # the next accepted ingest carries only its own queries
+            assert client.ingest(sid, queries[:2])["m"] == 22
+
+    @pytest.mark.parametrize(
+        "args",
+        [{"m": 2.7}, {"m": "abc"}, {"m": True}, {"deadline": "abc"},
+         {"deadline": float("nan")}],
+        ids=["m-float", "m-str", "m-bool", "deadline-str", "deadline-nan"],
+    )
+    def test_decode_arguments_are_checked(self, server, args):
+        with ServiceClient(server.host, server.port) as client:
+            open_and_fill(
+                client, "e2e-args", 60, 3, repro.NoiselessChannel(), 26, 10
+            )
+            request = {"op": "decode", "session_id": "e2e-args",
+                       "algorithm": "amp", **args}
+            with pytest.raises(InvalidRequest):
+                client.call(request)
+
     def test_decode_request_id_is_idempotent(self, server):
         channel = repro.ZChannel(0.05)
         with ServiceClient(server.host, server.port) as client:
