@@ -23,8 +23,9 @@ Two entry modes:
   queue against per-cell-barrier execution (with the per-chunk
   pipe dispatch payload), the AMP kernel seam (NumPy
   reference vs the fused Numba backend when importable, float32
-  opt-in alongside), and the shared-memory arena dispatch payload
-  against the pipe-pickled protocols — and appends
+  opt-in alongside), the shared-memory arena dispatch payload
+  against the pipe-pickled protocols, and the socket backend's
+  per-chunk cost on near-zero compute — and appends
   one machine-readable entry (per-case wall time, speedup vs baseline,
   workers used, host info) to ``BENCH_perf_core.json`` at the repo
   root, so regressions across PRs stay visible. ``--smoke`` shrinks
@@ -1116,6 +1117,66 @@ def _case_sweep_resume_overhead(smoke):
     }
 
 
+def _case_socket_chunk_floor(workers):
+    """Per-chunk cost of the socket backend on near-zero compute.
+
+    The two-cell plan of ``tests/test_elastic.py::make_plan`` (a
+    greedy required-m cell and a two-point success curve at n=120) on
+    one warm localhost socket worker, next to the serial and process
+    backends on the same plan (all three asserted bit-identical).
+    Chunk compute is a few milliseconds in total, so the socket time
+    is the per-chunk wire and wake-up cost: a worker that only noticed
+    a finished chunk on a poll tick paid that tick on every chunk.
+    The case is already tiny, so it has no smoke size.
+    """
+    from repro.experiments import shutdown_pool
+    from repro.experiments.scheduler import SweepExecutor, SweepPlan
+    from repro.experiments.worker import start_local_workers
+
+    repeats = 3
+
+    def build_plan():
+        plan = SweepPlan()
+        plan.add_required_queries(
+            120, 3, repro.ZChannel(0.1), trials=8, seed=5, check_every=4
+        )
+        plan.add_success_curve(
+            120, 3, repro.ZChannel(0.1), [60, 120], trials=4, seed=6
+        )
+        return plan
+
+    hosts, shutdown = start_local_workers(1)
+    try:
+        socket_ex = SweepExecutor(backend="socket", hosts=hosts)
+        chunks = len(socket_ex._explode(build_plan()))
+        socket_ex.run(build_plan())  # warm: worker imports, first connect
+        socket_s, got = _timed(lambda: socket_ex.run(build_plan()), repeats)
+    finally:
+        shutdown()
+    serial_s, ref = _timed(
+        lambda: build_plan().run(backend="serial"), repeats
+    )
+    process_ex = SweepExecutor(backend="process", workers=workers)
+    process_ex.run(build_plan())  # warm the pool
+    process_s, via_pool = _timed(
+        lambda: process_ex.run(build_plan()), repeats
+    )
+    shutdown_pool()
+    assert repr(got) == repr(ref) == repr(via_pool)  # bit-identical
+    return {
+        "case": "socket_chunk_floor",
+        "chunks": chunks,
+        "socket_workers": 1,
+        "workers": workers,
+        "wall_s": round(socket_s, 4),
+        "per_chunk_ms": round(socket_s / chunks * 1e3, 2),
+        "baseline": "serial backend, same plan",
+        "baseline_s": round(serial_s, 4),
+        "process_s": round(process_s, 4),
+        "speedup": round(serial_s / socket_s, 3) if socket_s else None,
+    }
+
+
 def _case_decode_service(smoke):
     """Decode-service micro-batching: one ragged stack vs serial run_amp.
 
@@ -1224,6 +1285,7 @@ def run_perf_suite(smoke=False, workers=4, only=None):
         "shm_dispatch_bytes": lambda: _case_shm_dispatch_bytes(smoke, workers),
         "sweep_resume_overhead": lambda: _case_sweep_resume_overhead(smoke),
         "decode_service": lambda: _case_decode_service(smoke),
+        "socket_chunk_floor": lambda: _case_socket_chunk_floor(workers),
     }
     if only:
         unknown = set(only) - set(available)

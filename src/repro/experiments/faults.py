@@ -26,10 +26,14 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from typing import Optional
 
 from repro.experiments.worker import _HEADER, _TAG_SIZE, _recv_exact
+
+#: safety valve for ``hold_replies_until``: a fault that never fires
+#: releases the held replies after this many seconds, so a broken
+#: scenario fails its assertions instead of hanging the suite
+HOLD_LIMIT = 60.0
 
 
 def _read_raw_frame(conn: socket.socket) -> Optional[tuple]:
@@ -104,9 +108,10 @@ class FaultyWorkerProxy:
         restarted, so the executor's timeout-then-reconnect recovery
         completes the sweep.
     delay_reply:
-        Sleep this many seconds before relaying each chunk reply — a
+        Wait this many seconds before relaying each chunk reply — a
         straggler (handshake and heartbeat frames pass undelayed, so
-        the worker stays *live*, just slow).
+        the worker stays *live*, just slow). :meth:`stop` cuts the
+        wait short and drops the reply.
     corrupt_reply_index:
         Flip one payload bit of the Nth (0-based) chunk reply — the
         driver's tag verification must reject the frame before
@@ -115,9 +120,20 @@ class FaultyWorkerProxy:
         Flip one payload bit of the driver's first frame (the hello) —
         the worker must treat the peer as unauthenticated and drop the
         connection without unpickling anything.
+    hold_replies_until:
+        An event (typically another proxy's fault event, below): hold
+        every chunk reply until it is set. Puts a healthy worker behind
+        a faulty one in a race-free order — the healthy worker can
+        finish nothing before the fault has fired, however fast chunks
+        are on the host.
 
     Counters are proxy-global, not per-connection, so faults fire once
-    per proxy regardless of how many times the driver reconnects.
+    per proxy regardless of how many times the driver reconnects. Each
+    fault kind sets one event when it fires, observable in tests:
+    ``_killed`` (connections dropped), ``_frozen`` (replies swallowed
+    from now on), ``_delayed`` (a reply's delay began), ``_corrupted``
+    (a corrupted reply was relayed) and ``_hello_corrupted`` (the
+    corrupted hello was relayed).
     """
 
     def __init__(
@@ -129,6 +145,7 @@ class FaultyWorkerProxy:
         delay_reply: float = 0.0,
         corrupt_reply_index: Optional[int] = None,
         corrupt_first_frame: bool = False,
+        hold_replies_until: Optional[threading.Event] = None,
     ) -> None:
         host, _, port = upstream.rpartition(":")
         self.upstream = (host, int(port))
@@ -137,12 +154,18 @@ class FaultyWorkerProxy:
         self.delay_reply = delay_reply
         self.corrupt_reply_index = corrupt_reply_index
         self.corrupt_first_frame = corrupt_first_frame
+        self.hold_replies_until = hold_replies_until
         self.host = "127.0.0.1"
         self.port: Optional[int] = None
         self.chunks_relayed = 0
+        self._replies_seen = 0
         self._listener: Optional[socket.socket] = None
         self._stop = threading.Event()
+        self._killed = threading.Event()
         self._frozen = threading.Event()
+        self._delayed = threading.Event()
+        self._corrupted = threading.Event()
+        self._hello_corrupted = threading.Event()
         self._lock = threading.Lock()
         self._threads: list = []
         self._conns: list = []
@@ -195,6 +218,9 @@ class FaultyWorkerProxy:
             except OSError:
                 driver_conn.close()
                 continue
+            # Relay frames as promptly as the direct path sends them.
+            for conn in (driver_conn, worker_conn):
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 self._conns.extend([driver_conn, worker_conn])
             for target, args in (
@@ -215,10 +241,13 @@ class FaultyWorkerProxy:
                 if frame is None:
                     break
                 header, tag, payload = frame
-                if first and self.corrupt_first_frame:
+                corrupt = first and self.corrupt_first_frame
+                if corrupt:
                     payload = _flip_byte(payload)
                 first = False
                 worker_conn.sendall(header + tag + payload)
+                if corrupt:
+                    self._hello_corrupted.set()
         except OSError:
             pass
         finally:
@@ -240,19 +269,29 @@ class FaultyWorkerProxy:
                 if not _is_chunk_reply(payload):
                     driver_conn.sendall(header + tag + payload)
                     continue
+                if self.hold_replies_until is not None:
+                    self.hold_replies_until.wait(HOLD_LIMIT)
                 with self._lock:
-                    index = self.chunks_relayed
-                    self.chunks_relayed += 1
-                if self.corrupt_reply_index == index:
+                    index = self._replies_seen
+                    self._replies_seen += 1
+                corrupt = self.corrupt_reply_index == index
+                if corrupt:
                     payload = _flip_byte(payload)
                 if self.delay_reply:
-                    time.sleep(self.delay_reply)
+                    self._delayed.set()
+                    if self._stop.wait(self.delay_reply):
+                        break  # stopped while delaying: drop the reply
                 driver_conn.sendall(header + tag + payload)
+                with self._lock:
+                    self.chunks_relayed += 1
+                if corrupt:
+                    self._corrupted.set()
                 if (
                     self.kill_after_chunks is not None
                     and self.chunks_relayed >= self.kill_after_chunks
                 ):
                     self.stop()  # crash: drop conns, refuse reconnects
+                    self._killed.set()
                     return
                 if (
                     self.freeze_after_chunks is not None

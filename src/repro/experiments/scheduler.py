@@ -113,6 +113,8 @@ import itertools
 import os
 import pickle
 import queue as queue_module
+import select
+import socket
 import threading
 import time
 from collections import deque
@@ -982,6 +984,13 @@ class SweepExecutor:
         workers — chunks are pure functions of their seeds, so the
         first result wins and duplicates are dropped by key.
         Elasticity counters land in ``self.last_socket_stats``.
+
+        Nothing on the chunk path waits on a poll tick: feeders block
+        on the task queue (marking themselves idle first, so idle
+        means "waiting for work") and the finished sweep posts one
+        ``None`` sentinel per feeder; a feeder blocked on a worker's
+        reply also selects on a per-sweep wake pair, so a speculation
+        loser is released the moment the sweep completes.
         """
         from repro.experiments import worker as worker_mod
 
@@ -1006,7 +1015,12 @@ class SweepExecutor:
         for task in tasks:
             task_queue.put(task)
         results: "queue_module.Queue[tuple]" = queue_module.Queue()
+        # End of sweep: done_event for the flag, one None sentinel per
+        # feeder for those blocked on the task queue, and a byte on the
+        # wake pair (never drained, so it stays readable) for those
+        # blocked on a worker connection in await_reply.
         done_event = threading.Event()
+        wake_r, wake_w = socket.socketpair()
 
         # Shared elasticity state, all under one lock: completed task
         # keys (speculation dedup), in-flight chunks with start times
@@ -1032,7 +1046,8 @@ class SweepExecutor:
 
             Skips stray ``pong`` frames (a probe can race the result),
             raises ``OSError`` after ``hb_timeout`` of total silence,
-            and :class:`_Abandoned` when the sweep completed under us.
+            and :class:`_Abandoned` when the sweep completed under us
+            (the wake pair ends the wait the moment it does).
             """
             now = time.monotonic()
             last_heard = now
@@ -1040,11 +1055,12 @@ class SweepExecutor:
             while True:
                 if done_event.is_set():
                     raise _Abandoned()
-                readable = worker_mod.wait_readable(
-                    conn, min(worker_mod.IO_POLL_TIMEOUT, hb_interval / 2)
-                )
+                ready = select.select(
+                    [conn, wake_r], [], [],
+                    min(worker_mod.IO_POLL_TIMEOUT, hb_interval / 2),
+                )[0]
                 now = time.monotonic()
-                if readable:
+                if conn in ready:
                     reply = worker_mod.recv_message(conn, auth_key)
                     if reply is None:
                         raise OSError("connection closed by worker")
@@ -1098,11 +1114,13 @@ class SweepExecutor:
             try:
                 while not done_event.is_set():
                     try:
-                        task = task_queue.get(timeout=0.05)
+                        task = task_queue.get_nowait()
                     except queue_module.Empty:
                         with lock:
-                            idle.add(address)
-                        continue
+                            idle.add(address)  # waiting for work
+                        task = task_queue.get()
+                    if task is None:
+                        break  # sweep over: the driver posted sentinels
                     key = (task.cell, task.index)
                     with lock:
                         idle.discard(address)
@@ -1196,7 +1214,10 @@ class SweepExecutor:
                         task_queue.put(task)
 
         threads = [
-            threading.Thread(target=drive, args=(addr,), daemon=True)
+            threading.Thread(
+                target=drive, args=(addr,), daemon=True,
+                name=f"repro-socket-feeder-{addr[0]}:{addr[1]}",
+            )
             for addr in addresses
         ]
         for thread in threads:
@@ -1250,8 +1271,13 @@ class SweepExecutor:
                         )
         finally:
             done_event.set()
+            for _ in threads:
+                task_queue.put(None)
+            wake_w.send(b"\0")
             for thread in threads:
                 thread.join(timeout=5.0)
+            wake_r.close()
+            wake_w.close()
             # Fold in elasticity events that raced the sweep's finish
             # (e.g. a worker declared dead just as the survivor
             # completed its requeued chunk) so the counters reflect

@@ -75,6 +75,7 @@ import hmac
 import multiprocessing
 import os
 import pickle
+import select
 import socket
 import struct
 import threading
@@ -146,13 +147,16 @@ DEFAULT_HEARTBEAT_INTERVAL = 5.0
 #: few multiples of the interval so one dropped probe is not fatal
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 
-#: readiness-poll interval on executor-side connections (seconds). An
-#: elapsed poll does NOT mean the worker died — a chunk may
-#: legitimately compute for many minutes at paper scale — it merely
-#: lets the driver thread check for shutdown, send a heartbeat probe,
-#: and re-enter the wait. Polling happens with :func:`wait_readable`
-#: *before* any frame read (never with a mid-frame socket timeout,
-#: which would drop partially received bytes and desynchronize the
+#: upper bound (seconds) on one executor-side wait for a chunk reply.
+#: It only paces heartbeat bookkeeping: an elapsed wait does NOT mean
+#: the worker died — a chunk may legitimately compute for many minutes
+#: at paper scale — it merely lets the driver thread send a heartbeat
+#: probe and re-enter the wait. Replies and the end of the sweep wake
+#: the wait at once (the sweep's wake socket is in the same select
+#: set), so no latency rides on this value; the worker side has no
+#: poll interval at all (:func:`_reply_while_computing`). Waits happen
+#: *before* any frame read (never as a mid-frame socket timeout, which
+#: would drop partially received bytes and desynchronize the
 #: protocol); dead-peer detection is the application-level heartbeat
 #: (a worker answers ``ping`` even mid-chunk) with TCP keepalive
 #: (tuned in :func:`connect`) as the transport-level backstop.
@@ -230,8 +234,6 @@ def wait_readable(conn: socket.socket, timeout: float) -> bool:
     the frame read means a slow link can never lose partially received
     frame bytes to a timeout.
     """
-    import select
-
     return bool(select.select([conn], [], [], timeout)[0])
 
 
@@ -281,18 +283,25 @@ def recv_message(
 
 
 def connect(address: Tuple[str, int]) -> socket.socket:
-    """Open one executor-side connection attempt to a worker.
+    """Open one client connection attempt to a worker (or ``repro serve``).
 
     Blocking I/O after connect: frame reads must never time out
     mid-frame (partial bytes would be lost and the stream
-    desynchronized). The executor polls with :func:`wait_readable`
-    before reading and drives application-level heartbeats; TCP
-    keepalive below is the transport-level backstop that turns a host
-    which vanished without closing the connection — power loss,
-    network partition with no RST — into a hard ``OSError``.
+    desynchronized). The executor waits for readability before
+    reading and drives application-level heartbeats; TCP keepalive
+    below is the transport-level backstop that turns a host which
+    vanished without closing the connection — power loss, network
+    partition with no RST — into a hard ``OSError``.
+
+    ``TCP_NODELAY`` is set because the driver writes small frames back
+    to back (a cell's ``spec`` then its ``chunk``) before reading:
+    under Nagle the second frame would wait for the worker's delayed
+    ACK (about 40 ms) once per cell per connection. Every frame goes
+    out in one ``sendall``, so no partial frames hit the wire.
     """
     conn = socket.create_connection(address, timeout=CONNECT_TIMEOUT)
     conn.settimeout(None)
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
     # Aggressive keepalive where the platform exposes the knobs:
     # first probe after 60 s idle (TCP_KEEPIDLE on Linux, spelled
@@ -414,39 +423,55 @@ def connect_with_retry(
 def _reply_while_computing(conn, key, run) -> Optional[tuple]:
     """Run ``run()`` on a thread, answering pings until it finishes.
 
-    Returns the reply to send, or ``None`` when the driver went away
-    mid-chunk (EOF / ``close`` / an unverifiable frame) — the
+    Event-driven, with no poll interval: the loop blocks in one
+    ``select`` on the connection together with a ``socketpair`` that
+    the compute thread writes when it finishes, so the reply goes out
+    the moment the chunk is done and a ``ping`` is answered the moment
+    it arrives. Returns the reply to send, or ``None`` when the driver
+    went away mid-chunk (EOF / ``close`` / an unverifiable frame) — the
     computation is abandoned to finish on its daemon thread with the
     result discarded, and the caller closes the connection.
+
+    The loop owns (and always closes) the pair's read end; the compute
+    thread owns the write end and closes it after its one write, which
+    on an abandoned chunk hits a closed peer and is swallowed.
     """
     box: dict = {}
+    wake_r, wake_w = socket.socketpair()
 
     def compute() -> None:
         try:
             box["reply"] = ("ok", run())
         except Exception:
             box["reply"] = ("err", traceback.format_exc())
+        try:
+            wake_w.send(b"\0")
+        except OSError:
+            pass  # abandoned: the loop already closed the read end
+        finally:
+            wake_w.close()
 
     thread = threading.Thread(target=compute, daemon=True)
-    thread.start()
-    abandoned = False
-    while thread.is_alive():
-        if not wait_readable(conn, 0.1):
-            continue
-        try:
-            inner = recv_message(conn, key)
-        except (OSError, EOFError, ProtocolError):
-            abandoned = True
-            break
-        if inner is None or inner[0] == "close":
-            abandoned = True
-            break
-        if inner[0] == "ping":
-            send_message(conn, ("pong",), key)
-        # anything else mid-chunk is a driver bug; ignore rather than
-        # desynchronize — the driver never pipelines work frames
-    if abandoned:
-        return None
+    try:
+        thread.start()
+        while True:
+            ready = select.select([conn, wake_r], [], [], None)[0]
+            if wake_r in ready:
+                break
+            try:
+                inner = recv_message(conn, key)
+            except (OSError, EOFError, ProtocolError):
+                return None
+            if inner is None or inner[0] == "close":
+                return None
+            if inner[0] == "ping":
+                send_message(conn, ("pong",), key)
+            # anything else mid-chunk is a driver bug; ignore rather
+            # than desynchronize — the driver never pipelines work
+    finally:
+        wake_r.close()
+        if thread.ident is None:
+            wake_w.close()  # the thread never started
     thread.join()
     return box["reply"]
 
@@ -555,6 +580,7 @@ def serve_worker(
             ready(listener.getsockname()[1])
         while True:
             conn, _ = listener.accept()
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(
                 target=_serve_connection, args=(conn, key), daemon=True
             ).start()

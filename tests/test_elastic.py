@@ -8,6 +8,8 @@ paths — every completed sweep bit-identical to serial no matter what
 the proxy does to the wire.
 """
 
+import os
+import select
 import socket
 import threading
 import time
@@ -16,6 +18,7 @@ import pytest
 
 import repro
 from repro.experiments import parallel
+from repro.experiments import worker as worker_mod
 from repro.experiments.faults import FaultyWorkerProxy
 from repro.experiments.scheduler import SweepExecutor, SweepPlan
 from repro.experiments.worker import (
@@ -65,6 +68,25 @@ def make_plan():
 @pytest.fixture(scope="module")
 def serial_reference():
     return repr(make_plan().run(backend="serial"))
+
+
+def held_behind(upstream, fault_event):
+    """A pass-through proxy whose chunk replies wait for ``fault_event``.
+
+    Puts the healthy worker of a recovery scenario behind the faulty
+    proxy's fault: it can finish no chunk before the fault has fired,
+    so the fault fires on every host, however fast chunks are.
+    """
+    return FaultyWorkerProxy(
+        upstream, hold_replies_until=fault_event
+    ).start()
+
+
+def feeder_threads():
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("repro-socket-feeder-")
+    ]
 
 
 # -- framing ------------------------------------------------------------
@@ -236,6 +258,114 @@ class TestHandshake:
             blocker.close()
 
 
+# -- event-driven chunk path ---------------------------------------------
+
+
+def compute_in_thread(conn, run):
+    """Serve one chunk on ``conn`` from a thread; returns (thread, box)."""
+    box = {}
+
+    def serve():
+        box["reply"] = _reply_while_computing(conn, resolve_auth_key(), run)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread, box
+
+
+def join_threads_since(before):
+    """Join every thread started since the ``before`` snapshot."""
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestEventDrivenWorker:
+    def test_reply_wait_has_no_timeout(self, monkeypatch):
+        """The worker blocks until a frame or the chunk's completion
+        arrives; no wait ever elapses on a poll interval."""
+        real = select.select
+        timeouts = []
+        a, b = socket.socketpair()
+        gate = threading.Event()
+
+        def spy(rlist, wlist, xlist, *timeout):
+            if b in rlist:  # the worker's waits on its connection
+                timeouts.append(timeout[0] if timeout else None)
+            return real(rlist, wlist, xlist, *timeout)
+
+        monkeypatch.setattr(select, "select", spy)
+        key = resolve_auth_key()
+        try:
+            thread, box = compute_in_thread(b, lambda: gate.wait() and 7)
+            send_message(a, ("ping",), key)
+            assert recv_message(a, key) == ("pong",)
+            gate.set()
+            thread.join(timeout=10)
+            assert box["reply"] == ("ok", 7)
+        finally:
+            a.close()
+            b.close()
+        assert len(timeouts) >= 2  # the ping, then the completion
+        assert all(t is None for t in timeouts)
+
+    def test_eof_abandons_the_chunk(self):
+        a, b = socket.socketpair()
+        gate = threading.Event()
+        before = set(threading.enumerate())
+        try:
+            thread, box = compute_in_thread(b, gate.wait)
+            a.close()
+            thread.join(timeout=10)
+            assert box["reply"] is None
+        finally:
+            gate.set()
+            b.close()
+        join_threads_since(before)  # the late compute write is swallowed
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_no_fd_leak_over_fifty_chunks(self):
+        key = resolve_auth_key()
+        a, b = socket.socketpair()
+        try:
+            before = set(threading.enumerate())
+            fds = len(os.listdir("/proc/self/fd"))
+            for i in range(49):
+                assert _reply_while_computing(
+                    b, key, lambda: i
+                ) == ("ok", i)
+            gate = threading.Event()
+            send_message(a, ("close",), key)
+            assert _reply_while_computing(b, key, gate.wait) is None
+            gate.set()
+            join_threads_since(before)
+            assert len(os.listdir("/proc/self/fd")) == fds
+        finally:
+            a.close()
+            b.close()
+
+    def test_tcp_nodelay_on_both_ends(self, live_worker, monkeypatch):
+        accepted = []
+        serve = worker_mod._serve_connection
+
+        def spy(conn, key):
+            accepted.append(
+                conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            return serve(conn, key)
+
+        monkeypatch.setattr(worker_mod, "_serve_connection", spy)
+        conn = connect(live_worker)
+        try:
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            client_handshake(conn)  # served: the spy has run
+        finally:
+            conn.close()
+        assert accepted and all(accepted)
+
+
 # -- connect retry ------------------------------------------------------
 
 
@@ -313,10 +443,11 @@ class TestFaultRecovery:
         proxy = FaultyWorkerProxy(
             socket_hosts[0], kill_after_chunks=2
         ).start()
+        healthy = held_behind(socket_hosts[1], proxy._killed)
         try:
             ex = SweepExecutor(
                 backend="socket",
-                hosts=[proxy.address, socket_hosts[1]],
+                hosts=[proxy.address, healthy.address],
                 connect_retry=0.5,
             )
             got = ex.run(make_plan())
@@ -329,6 +460,7 @@ class TestFaultRecovery:
             )
         finally:
             proxy.stop()
+            healthy.stop()
 
     def test_wedged_worker_heartbeat_timeout(
         self, socket_hosts, serial_reference
@@ -336,10 +468,11 @@ class TestFaultRecovery:
         proxy = FaultyWorkerProxy(
             socket_hosts[0], freeze_after_chunks=1
         ).start()
+        healthy = held_behind(socket_hosts[1], proxy._frozen)
         try:
             ex = SweepExecutor(
                 backend="socket",
-                hosts=[proxy.address, socket_hosts[1]],
+                hosts=[proxy.address, healthy.address],
                 connect_retry=0.5,
                 heartbeat_interval=0.2,
                 heartbeat_timeout=1.0,
@@ -349,13 +482,15 @@ class TestFaultRecovery:
             assert ex.last_socket_stats["heartbeat_timeouts"] > 0
         finally:
             proxy.stop()
+            healthy.stop()
 
     def test_straggler_speculation(self, socket_hosts, serial_reference):
         proxy = FaultyWorkerProxy(socket_hosts[0], delay_reply=1.5).start()
+        healthy = held_behind(socket_hosts[1], proxy._delayed)
         try:
             ex = SweepExecutor(
                 backend="socket",
-                hosts=[proxy.address, socket_hosts[1]],
+                hosts=[proxy.address, healthy.address],
                 connect_retry=0.5,
                 speculate=0.5,
             )
@@ -364,6 +499,36 @@ class TestFaultRecovery:
             assert ex.last_socket_stats["speculated"] > 0
         finally:
             proxy.stop()
+            healthy.stop()
+
+    def test_speculated_sweep_does_not_wait_for_the_loser(
+        self, socket_hosts, serial_reference, monkeypatch
+    ):
+        """The speculation loser blocks on its straggler's connection
+        when the sweep completes; the sweep's wake pair must end that
+        wait at once. The wait bound is raised far past the
+        straggler's delay, so only the wake can let ``run()`` return,
+        with every feeder joined, before the delayed reply is relayed."""
+        monkeypatch.setattr(worker_mod, "IO_POLL_TIMEOUT", 600.0)
+        proxy = FaultyWorkerProxy(socket_hosts[0], delay_reply=6.0).start()
+        healthy = held_behind(socket_hosts[1], proxy._delayed)
+        try:
+            ex = SweepExecutor(
+                backend="socket",
+                hosts=[proxy.address, healthy.address],
+                connect_retry=0.5,
+                speculate=0.5,
+                heartbeat_interval=600.0,
+                heartbeat_timeout=1200.0,
+            )
+            got = ex.run(make_plan())
+            assert proxy.chunks_relayed == 0  # delayed reply still held
+            assert feeder_threads() == []
+            assert repr(got) == serial_reference
+            assert ex.last_socket_stats["speculated"] > 0
+        finally:
+            proxy.stop()
+            healthy.stop()
 
     def test_corrupted_reply_recovered(
         self, socket_hosts, serial_reference
@@ -371,10 +536,11 @@ class TestFaultRecovery:
         proxy = FaultyWorkerProxy(
             socket_hosts[0], corrupt_reply_index=1
         ).start()
+        healthy = held_behind(socket_hosts[1], proxy._corrupted)
         try:
             ex = SweepExecutor(
                 backend="socket",
-                hosts=[proxy.address, socket_hosts[1]],
+                hosts=[proxy.address, healthy.address],
                 connect_retry=0.5,
             )
             got = ex.run(make_plan())
@@ -382,6 +548,7 @@ class TestFaultRecovery:
             assert ex.last_socket_stats["reconnects"] > 0
         finally:
             proxy.stop()
+            healthy.stop()
 
     def test_unauthenticated_driver_rejected(self, socket_hosts):
         proxy = FaultyWorkerProxy(
