@@ -24,8 +24,9 @@ Two entry modes:
   pipe dispatch payload), the AMP kernel seam (NumPy
   reference vs the fused Numba backend when importable, float32
   opt-in alongside), the shared-memory arena dispatch payload
-  against the pipe-pickled protocols, and the socket backend's
-  per-chunk cost on near-zero compute — and appends
+  against the pipe-pickled protocols, the socket backend's
+  per-chunk cost on near-zero compute, and the decode service's
+  write-ahead persist cost per ingest as a session grows — and appends
   one machine-readable entry (per-case wall time, speedup vs baseline,
   workers used, host info) to ``BENCH_perf_core.json`` at the repo
   root, so regressions across PRs stay visible. ``--smoke`` shrinks
@@ -1258,6 +1259,85 @@ def _case_decode_service(smoke):
     }
 
 
+def _case_service_ingest_persist(smoke):
+    """Write-ahead persist cost per ingest as a service session grows.
+
+    One session at n=1000, Gamma=500 (the ``serve_open_loop`` cell)
+    takes 10-query ingests; after each, ``SessionStore.save`` makes it
+    durable, as ``repro serve`` does before every ack. The case reports
+    the save time of the ingests that bring the session to each probe
+    size m. A store that rewrites the whole session grows linearly in
+    m (O(m^2) per session); an append-only log stays flat. A fresh
+    store then reloads the session, which must be bit-identical.
+    """
+    import os
+    import tempfile
+    import time
+
+    from repro.service.session import Session, SessionParams
+    from repro.service.store import SessionStore
+
+    n, gamma, block = 1000, 500, 10
+    probes = (10, 160) if smoke else (10, 160, 610)
+    repeats = 1 if smoke else 3
+    channel = repro.ZChannel(0.1)
+    gen = np.random.default_rng(41)
+    truth = repro.sample_ground_truth(n, repro.sublinear_k(n, 0.25), gen)
+    graph = sample_pooling_graph_batch(n, probes[-1], gamma, rng=gen)
+    results = repro.measure(graph, truth, channel, rng=gen).results
+    queries = [
+        (
+            graph.agents[graph.indptr[i]:graph.indptr[i + 1]],
+            graph.counts[graph.indptr[i]:graph.indptr[i + 1]],
+            float(results[i]),
+        )
+        for i in range(probes[-1])
+    ]
+    params = SessionParams.create(n, gamma, {"kind": "z", "p": 0.1}, "half_k")
+
+    save_ms = {m: [] for m in probes}
+    ingest_ms = {m: [] for m in probes}
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as root:
+            store = SessionStore(root)
+            session = Session("bench", params, truth.sigma)
+            store.save(session)
+            for lo in range(0, probes[-1], block):
+                t0 = time.perf_counter()
+                m = session.ingest(f"r{lo}", queries[lo:lo + block])
+                t1 = time.perf_counter()
+                store.save(session)
+                t2 = time.perf_counter()
+                if m in save_ms:
+                    ingest_ms[m].append((t1 - t0) * 1e3)
+                    save_ms[m].append((t2 - t1) * 1e3)
+            restored = SessionStore(root).load_all()["bench"]
+            log_bytes = sum(
+                os.path.getsize(os.path.join(root, name))
+                for name in os.listdir(root)
+            )
+        assert restored.applied == session.applied
+        assert np.array_equal(restored.decoder.scores, session.decoder.scores)
+        assert np.array_equal(restored.stream.agents, session.stream.agents)
+        assert np.array_equal(restored.stream.results, session.stream.results)
+
+    best = {m: min(save_ms[m]) for m in probes}
+    return {
+        "case": "service_ingest_persist",
+        "n": n,
+        "gamma": gamma,
+        "queries_per_ingest": block,
+        "repeats": repeats,
+        "persist_ms_at_m": {str(m): round(best[m], 3) for m in probes},
+        "ingest_ms_at_m": {
+            str(m): round(min(ingest_ms[m]), 3) for m in probes
+        },
+        "growth": round(best[probes[-1]] / best[probes[0]], 2),
+        "stored_bytes": log_bytes,
+        "restored_bit_identical": True,
+    }
+
+
 def run_perf_suite(smoke=False, workers=4, only=None):
     """Run the perf-trajectory cases; returns one JSON-ready entry.
 
@@ -1286,6 +1366,7 @@ def run_perf_suite(smoke=False, workers=4, only=None):
         "sweep_resume_overhead": lambda: _case_sweep_resume_overhead(smoke),
         "decode_service": lambda: _case_decode_service(smoke),
         "socket_chunk_floor": lambda: _case_socket_chunk_floor(workers),
+        "service_ingest_persist": lambda: _case_service_ingest_persist(smoke),
     }
     if only:
         unknown = set(only) - set(available)

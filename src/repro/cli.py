@@ -485,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc.add_argument(
         "--state-dir", default=None,
-        help="directory for durable session records (atomic "
-        "write-then-rename); omit for in-memory sessions that do NOT "
-        "survive a restart",
+        help="directory for durable session logs (one append-only "
+        "log per session, written before each ack); omit for "
+        "in-memory sessions that do NOT survive a restart",
     )
     svc.add_argument(
         "--max-queue", type=int, default=None,

@@ -261,6 +261,10 @@ def sample_pooling_graph_batch(
     return PoolingGraph._unchecked(n, gamma, indptr, agents, counts)
 
 
+def _concat(parts, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
 class MeasurementStream:
     """Block-grown, prefix-sliceable measured query stream of one trial.
 
@@ -367,21 +371,9 @@ class MeasurementStream:
         if self._consolidated is None:
             self._consolidated = (
                 np.concatenate(self._indptr_parts),
-                (
-                    np.concatenate(self._agents_parts)
-                    if self._agents_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._counts_parts)
-                    if self._counts_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._results_parts)
-                    if self._results_parts
-                    else np.zeros(0, dtype=np.float64)
-                ),
+                _concat(self._agents_parts, np.int64),
+                _concat(self._counts_parts, np.int64),
+                _concat(self._results_parts, np.float64),
             )
         return self._consolidated
 
@@ -603,23 +595,24 @@ class SessionStream:
         if self._consolidated is None:
             self._consolidated = (
                 np.concatenate(self._indptr_parts),
-                (
-                    np.concatenate(self._agents_parts)
-                    if self._agents_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._counts_parts)
-                    if self._counts_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._results_parts)
-                    if self._results_parts
-                    else np.zeros(0, dtype=np.float64)
-                ),
+                _concat(self._agents_parts, np.int64),
+                _concat(self._counts_parts, np.int64),
+                _concat(self._results_parts, np.float64),
             )
         return self._consolidated
+
+    def rows_since(self, start: int):
+        """Row sizes, agents, counts and results of the queries appended
+        after the first ``start``, in O(new queries) however long the
+        stream is (what the service's append-only session log writes).
+        """
+        agents = self._agents_parts[start:]
+        return (
+            np.fromiter((a.size for a in agents), np.int64, len(agents)),
+            _concat(agents, np.int64),
+            _concat(self._counts_parts[start:], np.int64),
+            _concat(self._results_parts[start:], np.float64),
+        )
 
     @property
     def indptr(self) -> np.ndarray:

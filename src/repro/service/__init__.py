@@ -8,7 +8,7 @@ calls — batching *across users, not trials* — while staying
 bit-identical to standalone decodes. Robustness is the design center:
 admission control with explicit load shedding, graceful degradation
 to the greedy scorer under overload, per-request deadlines, durable
-crash-recoverable session records, idempotent retrying clients, and
+crash-recoverable session logs, idempotent retrying clients, and
 liveness/readiness probes. See the ROADMAP's "Online decode service
 contract (PR 10)" section for the full contract.
 """

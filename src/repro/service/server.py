@@ -7,11 +7,14 @@ the loop and runs stacked AMP decodes in a worker thread. Concurrent
 clients on separate connections therefore batch *across users* while
 every individual result stays bit-identical to a standalone decode.
 
-Durability: every state-changing request persists its session through
-:class:`~repro.service.store.SessionStore` (atomic write-then-rename)
-**before** the acknowledgement is sent, so anything a client saw
-acked survives a SIGKILL; on restart :meth:`DecodeService.start`
-replays the stored records back into identical in-memory state.
+Durability: every state-changing request appends its new data to the
+session's log in :class:`~repro.service.store.SessionStore` **before**
+the acknowledgement is sent, so anything a client saw acked survives a
+SIGKILL; on restart :meth:`DecodeService.start` replays the logs back
+into identical in-memory state. A failed append is never acked: the
+session returns to its last durable state (reloaded from its log, or
+dropped if it was just opened), so a retry is applied and persisted
+afresh rather than acked as a replay of data that was never written.
 
 Probes: the ``healthz`` op answers whenever the event loop is alive
 (liveness); ``readyz`` answers whether the store has been loaded and
@@ -255,8 +258,7 @@ class DecodeService:
             return {"session_id": session_id, "m": existing.m, "resumed": True}
         session = Session(session_id, params, sigma)
         self.sessions[session_id] = session
-        if self.store is not None:
-            self.store.save(session)
+        self._persist(session)
         return {"session_id": session_id, "m": 0, "resumed": False}
 
     def _ingest(self, request: dict) -> dict:
@@ -268,11 +270,28 @@ class DecodeService:
             raise InvalidRequest(f"ingest missing {exc.args[0]!r}") from None
         replay = request_id in session.applied
         m = session.ingest(request_id, queries)
-        if not replay and self.store is not None:
-            # Write-ahead: persist before the ack, so an acked ingest
-            # survives a SIGKILL.
-            self.store.save(session)
+        if not replay:
+            self._persist(session)
         return {"session_id": session.session_id, "m": m, "replayed": replay}
+
+    def _persist(self, session: Session) -> None:
+        """Write-ahead: make ``session`` durable before its ack.
+
+        If the append fails, the in-memory session goes back to what
+        its log holds (or is dropped when nothing is logged), so the
+        failed request's effects are neither served nor acked later.
+        """
+        if self.store is None:
+            return
+        try:
+            self.store.save(session)
+        except Exception:
+            durable = self.store.load(session.session_id)
+            if durable is None:
+                self.sessions.pop(session.session_id, None)
+            else:
+                self.sessions[session.session_id] = durable
+            raise
 
     async def _decode(self, request: dict) -> dict:
         session = self._session(request)

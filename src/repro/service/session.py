@@ -15,13 +15,13 @@ reproduction setting the client *is* the simulator, and the server
 certifies exact reconstruction / strict score separation on its
 behalf, exactly like the paper's required-queries stopping rule.
 
-Recovery contract: :meth:`Session.record` captures everything —
-parameters, sigma, the consolidated query arrays in arrival order,
-and the ingest idempotency map — as one JSON-able dict, and
-:meth:`Session.from_record` rebuilds the session by re-ingesting the
-queries *in the original order* through both consumers. Per-query
-ingestion re-runs the identical float accumulations, so a restored
-session is bit-for-bit the uninterrupted one.
+Recovery contract: :class:`~repro.service.store.SessionStore` logs
+the parameters, sigma, every query in arrival order and the ingest
+idempotency map, and rebuilds a session through :meth:`Session.replay`,
+which re-ingests the queries *in the original order* through both
+consumers. Per-query ingestion re-runs the identical float
+accumulations, so a restored session is bit-for-bit the uninterrupted
+one.
 """
 
 from __future__ import annotations
@@ -200,14 +200,19 @@ class Session:
                     "each query must be (agents, counts, result)"
                 ) from None
             rows.append((agents, counts, result))
+        self._apply(rows)
+        self.applied[request_id] = self.stream.m_done
+        return self.stream.m_done
+
+    def _apply(self, rows) -> None:
+        # Both consumers, query by query in arrival order: the float
+        # accumulation order that makes a replay bit-identical.
         try:
             rows = self.stream.extend(rows)
         except (TypeError, ValueError) as exc:
             raise InvalidRequest(str(exc)) from None
         for agents, counts, result in rows:
             self.decoder.ingest_query(agents, counts, result)
-        self.applied[request_id] = self.stream.m_done
-        return self.stream.m_done
 
     # -- decode ---------------------------------------------------------
 
@@ -250,50 +255,23 @@ class Session:
 
     # -- durability -----------------------------------------------------
 
-    def record(self) -> dict:
-        """The session's durable JSON-able record (see module notes)."""
-        return {
-            "version": 1,
-            "session_id": self.session_id,
-            "n": self.params.n,
-            "gamma": self.params.gamma,
-            "channel": dict(self.params.channel_spec),
-            "centering": self.params.centering,
-            "sigma": self.truth.sigma.tolist(),
-            "m": self.stream.m_done,
-            "indptr": self.stream.indptr.tolist(),
-            "agents": self.stream.agents.tolist(),
-            "counts": self.stream.counts.tolist(),
-            "results": self.stream.results.tolist(),
-            "applied": dict(self.applied),
-        }
+    def replay(self, sizes, agents, counts, results, applied) -> None:
+        """Re-ingest logged queries (recovery; see module notes).
 
-    @classmethod
-    def from_record(cls, record: dict) -> "Session":
-        """Rebuild a session by replaying its record in arrival order."""
-        params = SessionParams.create(
-            record["n"],
-            record["gamma"],
-            record["channel"],
-            record["centering"],
+        ``sizes`` are the queries' row sizes, ``agents``/``counts``
+        their concatenated CSR rows, ``results`` their measurements,
+        all in arrival order; ``applied`` are the ingest idempotency
+        entries logged with them.
+        """
+        bounds = np.cumsum(sizes)[:-1]
+        self._apply(zip(
+            np.split(agents, bounds),
+            np.split(counts, bounds),
+            np.asarray(results, dtype=np.float64).tolist(),
+        ))
+        self.applied.update(
+            (str(key), int(value)) for key, value in dict(applied).items()
         )
-        session = cls(str(record["session_id"]), params, record["sigma"])
-        indptr = np.asarray(record["indptr"], dtype=np.int64)
-        agents = np.asarray(record["agents"], dtype=np.int64)
-        counts = np.asarray(record["counts"], dtype=np.int64)
-        results = np.asarray(record["results"], dtype=np.float64)
-        for i in range(int(record["m"])):
-            lo, hi = int(indptr[i]), int(indptr[i + 1])
-            session.stream.append(
-                agents[lo:hi], counts[lo:hi], float(results[i])
-            )
-            session.decoder.ingest_query(
-                agents[lo:hi], counts[lo:hi], float(results[i])
-            )
-        session.applied = {
-            str(k): int(v) for k, v in dict(record["applied"]).items()
-        }
-        return session
 
 
 __all__ = [

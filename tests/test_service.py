@@ -16,6 +16,7 @@ Three layers:
 """
 
 import asyncio
+import os
 import threading
 
 import numpy as np
@@ -178,13 +179,16 @@ class TestSession:
             session.ingest("r2", [([0], [5], 3.0)])  # sum != gamma
         assert session.m == 0
 
-    def test_record_round_trip_is_bit_identical(self):
+    def test_record_round_trip_is_bit_identical(self, tmp_path):
         session, rng = make_session(
             "s", 80, 4, {"kind": "gaussian", "lam": 1.0}, 1
         )
+        store = SessionStore(tmp_path)
         session.ingest("a", measured_queries(session, rng, 12))
+        store.save(session)
         session.ingest("b", measured_queries(session, rng, 7))
-        restored = Session.from_record(session.record())
+        store.save(session)
+        restored = SessionStore(tmp_path).load_all()["s"]
         assert restored.m == session.m
         assert restored.applied == session.applied
         assert np.array_equal(restored.stream.indptr, session.stream.indptr)
@@ -199,7 +203,7 @@ class TestSession:
         )
         assert restored.decoder.separation() == session.decoder.separation()
 
-    def test_restored_session_grows_identically(self):
+    def test_restored_session_grows_identically(self, tmp_path):
         # checkpoint -> restore -> grow further == never interrupted
         straight, rng = make_session("s", 70, 3, {"kind": "z", "p": 0.2}, 2)
         queries = measured_queries(straight, rng, 30)
@@ -207,7 +211,8 @@ class TestSession:
 
         broken, _ = make_session("s", 70, 3, {"kind": "z", "p": 0.2}, 2)
         broken.ingest("first", queries[:18])
-        resumed = Session.from_record(broken.record())
+        SessionStore(tmp_path).save(broken)
+        resumed = SessionStore(tmp_path).load_all()["s"]
         resumed.ingest("rest", queries[18:])
         assert np.array_equal(
             resumed.decoder.scores, straight.decoder.scores
@@ -251,9 +256,208 @@ class TestSessionStore:
             "../../escape attempt", 30, 2, {"kind": "noiseless"}, 6
         )
         store.save(session)
-        files = list(tmp_path.glob("*.session.json"))
+        files = list(tmp_path.glob("*.session.log"))
         assert len(files) == 1
         assert files[0].resolve().parent == tmp_path.resolve()
+        assert list(SessionStore(tmp_path).load_all()) == [
+            "../../escape attempt"
+        ]
+
+    def test_ids_that_flatten_alike_keep_their_own_logs(self, tmp_path):
+        # "a/b" and "a_b" once shared a file; an id whose hex is too
+        # long for a filename gets a digest-named log.
+        store = SessionStore(tmp_path)
+        saved = {}
+        ids = [("a/b", 5), ("a_b", 9), ("x" * 150, 3)]
+        for seed, (session_id, m) in enumerate(ids):
+            session, rng = make_session(
+                session_id, 50, 2, {"kind": "z", "p": 0.1}, 20 + seed
+            )
+            session.ingest("r", measured_queries(session, rng, m))
+            store.save(session)
+            saved[session_id] = session
+        loaded = SessionStore(tmp_path).load_all()
+        assert sorted(loaded) == sorted(saved)
+        for session_id, session in saved.items():
+            assert loaded[session_id].m == session.m
+            assert np.array_equal(
+                loaded[session_id].decoder.scores, session.decoder.scores
+            )
+
+    @pytest.mark.parametrize("damage", ["cut", "flip"])
+    def test_torn_last_frame_is_truncated(self, tmp_path, damage):
+        channel = {"kind": "gaussian", "lam": 1.0}
+        straight, rng = make_session("s", 80, 4, channel, 7)
+        queries = measured_queries(straight, rng, 30)
+        straight.ingest("a", queries[:12])
+        straight.ingest("b", queries[12:20])
+        straight.ingest("c", queries[20:])
+
+        session, _ = make_session("s", 80, 4, channel, 7)
+        store = SessionStore(tmp_path)
+        session.ingest("a", queries[:12])
+        store.save(session)
+        (path,) = tmp_path.glob("*.session.log")
+        durable_size = path.stat().st_size
+        session.ingest("b", queries[12:20])
+        store.save(session)  # the frame the crash tears
+        data = bytearray(path.read_bytes())
+        if damage == "cut":
+            data = data[: (durable_size + len(data)) // 2]
+        else:
+            data[-3] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        restored = SessionStore(tmp_path).load_all()["s"]
+        assert path.stat().st_size == durable_size
+        assert restored.m == 12
+        assert restored.applied == {"a": 12}
+        # The client re-sends the unacked tail; the session then grows
+        # exactly as if nothing had happened.
+        store = SessionStore(tmp_path)
+        restored = store.load_all()["s"]
+        restored.ingest("b", queries[12:20])
+        store.save(restored)
+        restored.ingest("c", queries[20:])
+        store.save(restored)
+        final = SessionStore(tmp_path).load_all()["s"]
+        assert final.applied == straight.applied
+        for consumer in (restored, final):
+            assert np.array_equal(
+                consumer.decoder.scores, straight.decoder.scores
+            )
+            assert np.array_equal(
+                consumer.stream.agents, straight.stream.agents
+            )
+            assert np.array_equal(
+                consumer.stream.results, straight.stream.results
+            )
+
+    def test_failed_append_is_cut_back(self, tmp_path, monkeypatch):
+        session, rng = make_session("s", 60, 3, {"kind": "noiseless"}, 8)
+        store = SessionStore(tmp_path)
+        session.ingest("a", measured_queries(session, rng, 4))
+        store.save(session)
+        (path,) = tmp_path.glob("*.session.log")
+        durable = path.read_bytes()
+
+        real_write = os.write
+        writes = []
+
+        def short_then_fail(fd, data):
+            # One short write lands, then the device gives up.
+            writes.append(len(data))
+            if len(writes) == 1:
+                return real_write(fd, bytes(data[:16]))
+            raise OSError(28, "No space left on device")
+
+        session.ingest("b", measured_queries(session, rng, 4))
+        monkeypatch.setattr(os, "write", short_then_fail)
+        with pytest.raises(OSError):
+            store.save(session)
+        monkeypatch.undo()
+        assert len(writes) == 2  # the short write was continued
+        assert path.read_bytes() == durable
+        # The store still owes the log everything since its durable
+        # point, so a retried save completes it.
+        store.save(session)
+        loaded = SessionStore(tmp_path).load_all()["s"]
+        assert loaded.m == 8
+        assert np.array_equal(loaded.decoder.scores, session.decoder.scores)
+
+    def test_log_without_a_complete_frame_is_removed(self, tmp_path):
+        session, _ = make_session("s", 40, 2, {"kind": "noiseless"}, 11)
+        SessionStore(tmp_path).save(session)
+        (path,) = tmp_path.glob("*.session.log")
+        path.write_bytes(path.read_bytes()[:20])  # torn open frame
+        assert SessionStore(tmp_path).load_all() == {}
+        assert not path.exists()
+
+    def test_json_state_dir_is_rejected(self, tmp_path):
+        legacy = tmp_path / "alpha.session.json"
+        legacy.write_text('{"version": 1}')
+        with pytest.raises(ValueError, match="alpha.session.json"):
+            SessionStore(tmp_path).load_all()
+
+
+class TestPersistFailure:
+    """A failed write-ahead append is never acked, not even on retry."""
+
+    @staticmethod
+    def _request(service, **request):
+        return asyncio.run(service._safe_dispatch(request))
+
+    @staticmethod
+    def _fail_once(monkeypatch, store):
+        real_save = store.save
+        calls = []
+
+        def save(session):
+            calls.append(session.m)
+            if len(calls) == 1:
+                raise OSError(28, "No space left on device")
+            return real_save(session)
+
+        monkeypatch.setattr(store, "save", save)
+
+    def _open(self, service, session):
+        return self._request(
+            service,
+            op="open_session",
+            session_id=session.session_id,
+            n=session.n,
+            gamma=session.params.gamma,
+            channel=dict(session.params.channel_spec),
+            sigma=session.truth.sigma.tolist(),
+        )
+
+    def test_failed_ingest_is_retried_not_replayed(self, tmp_path, monkeypatch):
+        from repro.service.server import DecodeService
+
+        local, rng = make_session("s", 60, 3, {"kind": "z", "p": 0.1}, 9)
+        first = measured_queries(local, rng, 4)
+        second = measured_queries(local, rng, 4)
+        service = DecodeService(state_dir=tmp_path)
+        assert self._open(service, local)["ok"]
+        assert self._request(
+            service, op="ingest", session_id="s", request_id="r0",
+            queries=first,
+        )["m"] == 4
+
+        self._fail_once(monkeypatch, service.store)
+        failed = self._request(
+            service, op="ingest", session_id="s", request_id="r1",
+            queries=second,
+        )
+        assert failed["ok"] is False
+        assert failed["error"]["code"] == "internal"
+        assert service.sessions["s"].m == 4  # back to the durable state
+        retry = self._request(
+            service, op="ingest", session_id="s", request_id="r1",
+            queries=second,
+        )
+        assert retry["ok"] and retry["replayed"] is False
+        assert retry["m"] == 8
+
+        local.ingest("r0", first)
+        local.ingest("r1", second)
+        restarted = SessionStore(tmp_path).load_all()["s"]
+        assert restarted.m == 8
+        assert restarted.applied == {"r0": 4, "r1": 8}
+        assert np.array_equal(restarted.decoder.scores, local.decoder.scores)
+
+    def test_failed_open_is_dropped(self, tmp_path, monkeypatch):
+        from repro.service.server import DecodeService
+
+        local, _ = make_session("s", 60, 3, {"kind": "noiseless"}, 10)
+        service = DecodeService(state_dir=tmp_path)
+        self._fail_once(monkeypatch, service.store)
+        assert self._open(service, local)["ok"] is False
+        assert "s" not in service.sessions
+        assert SessionStore(tmp_path).load_all() == {}
+        reopened = self._open(service, local)
+        assert reopened["ok"] and reopened["resumed"] is False
+        assert list(SessionStore(tmp_path).load_all()) == ["s"]
 
 
 # ---------------------------------------------------------------------------
